@@ -11,7 +11,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Matrix, Vector, from_columns, columns
+from .core import Matrix, Vector
 from .oracles import IndependenceOracle
 
 
@@ -54,11 +54,14 @@ def greedy_dup(oracle: IndependenceOracle, k: int, w: Sequence[int]) -> Orthogon
     """Greedy k-round DUP approximation over an independence system.
 
     Each round zeroes the weights of already covered elements and queries
-    the oracle; the stacked answers are then orthogonalized (leftmost 1 per
-    row wins).  Rounds stop early once a query returns the zero vector,
-    since no further coverage is possible.  The value is guaranteed to be
-    at least greedy_ratio(k) times the DUP optimum; elements with negative
-    weight are never covered because the oracles clamp them out.
+    the oracle.  Output column r holds the elements that round r covered
+    first, which is the stack of answers orthogonalized (leftmost 1 per row
+    wins); the value is the weight of all covered elements.  Rounds stop
+    early once a query returns the zero vector, since no further coverage
+    is possible.  The value is guaranteed to be at least greedy_ratio(k)
+    times the DUP optimum.  Matroid and matching oracles never select an
+    element with weight <= 0; an explicit system may, and such an element
+    is then covered and its weight counted.
     """
     d = oracle.ground_size()
     if k < 1:
@@ -66,24 +69,22 @@ def greedy_dup(oracle: IndependenceOracle, k: int, w: Sequence[int]) -> Orthogon
     if len(w) != d:
         raise ValueError(f"weight vector length {len(w)} != ground size {d}")
     remaining = list(w)
-    picks: list[Vector] = []
-    for _ in range(k):
+    first = [-1] * d  # round that first covered each element, -1 if none
+    for r in range(k):
         s = oracle.maximize(remaining)
         if not any(s):
             break
-        picks.append(s)
         for i, bit in enumerate(s):
-            if bit:
+            if bit and first[i] < 0:
+                first[i] = r
                 remaining[i] = 0
-    if picks:
-        cols = list(columns(orthogonalize(from_columns(picks))))
-    else:
-        cols = []
-    zero = (0,) * d
-    cols.extend([zero] * (k - len(cols)))
-    covered = [any(col[i] for col in cols) for i in range(d)]
-    value = sum(wi for wi, hit in zip(w, covered) if hit)
-    return OrthogonalSelection(tuple(cols), value)
+    cols = [[0] * d for _ in range(k)]
+    value = 0
+    for i, r in enumerate(first):
+        if r >= 0:
+            cols[r][i] = 1
+            value += w[i]
+    return OrthogonalSelection(tuple(map(tuple, cols)), value)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ over matrices x with all columns in S.
 Three algorithms are provided, all deterministic:
 
 * constant_shifted -- for costs with nonincreasing rows; one greedy DUP run
-  over the n-lift of S gives ratio 1 - (1 - 1/n)^n >= 1 - 1/e.
+  over the n-lift of S, kept as one congestion counter per element (at most
+  n oracle calls), gives ratio 1 - (1 - 1/n)^n >= 1 - 1/e.
 * log_approx -- for arbitrary costs; one duplication level per power of two
   up to n, each level solving a DUP instance, expanding, and cleaning; the
   best level is within ratio beta / (4 ceil(log2 n) + 8) of the optimum.
@@ -34,7 +35,7 @@ from .core import (
     shifted_value,
 )
 from .dup import GREEDY_DUP, DupSolver, greedy_dup, greedy_ratio
-from .oracles import IndependenceOracle, LiftedOracle
+from .oracles import IndependenceOracle
 
 
 class NotShiftedError(ValueError):
@@ -167,18 +168,18 @@ def level_candidate(
     return cleaned, shifted_value(c, cleaned)
 
 
-def constant_shifted(
-    oracle: IndependenceOracle,
-    c: Matrix,
-    n: int,
-    solver: DupSolver = GREEDY_DUP,
-) -> ApproxResult:
+def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:
     """Constant-ratio algorithm for shifted (nonincreasing-row) costs.
 
-    Runs the DUP greedy over the n-lift of S on the ground set [d] x [n]
-    with the flattened costs as weights; the k-th selected lift matrix is
-    collapsed into the k-th output column by summing its columns.  The
-    value is at least 1 - (1 - 1/n)^n times the optimum.
+    The greedy DUP run over the n-lift of S, kept as one congestion counter
+    m[i] per element instead of the flattened (d*n)-element lift.  With
+    nonincreasing rows the covered lift cells of row i are always its first
+    m[i] cells, so its best uncovered cell is c[i][m[i]].  Round r weighs
+    element i by c[i][0] while uncovered, then by c[i][m[i]] while that
+    entry is positive, else 0, and asks the base oracle once; each selected
+    element with a real cell gets a 1 in output column r.  Rounds stop at
+    the first all-zero answer, so at most n oracle calls are made.  The
+    value is at least 1 - (1 - 1/n)^n >= 1 - 1/e times the optimum.
     """
     d, nc = dims(c)
     if n < 1:
@@ -192,14 +193,24 @@ def constant_shifted(
     bad = first_unshifted_row(c)
     if bad is not None:
         raise NotShiftedError(bad)
-    lifted = LiftedOracle(oracle, n)
-    flat = [c[i][j] for i in range(d) for j in range(n)]
-    sel = solver.solve(lifted, n, flat)
-    out_cols = []
-    for col in sel.columns:
-        out_cols.append(tuple(sum(col[i * n + j] for j in range(n)) for i in range(d)))
-    y = from_columns(out_cols)
-    return ApproxResult(y, shifted_value(c, y), None, solver.ratio(n))
+    m = [0] * d
+    out = [[0] * n for _ in range(d)]
+    for r in range(n):
+        w = [
+            row[0] if mi == 0 else row[mi] if mi < n and row[mi] > 0 else 0
+            for row, mi in zip(c, m)
+        ]
+        s = oracle.maximize(w)
+        if not any(s):
+            break
+        for i, bit in enumerate(s):
+            # An explicit system may select an element whose weight is 0 only
+            # because its cells are used up; that selection covers nothing.
+            if bit and (m[i] == 0 or w[i] > 0):
+                out[i][r] = 1
+                m[i] += 1
+    value = sum(sum(row[:mi]) for row, mi in zip(c, m))
+    return ApproxResult(tuple(map(tuple, out)), value, None, greedy_ratio(n))
 
 
 def log_approx(

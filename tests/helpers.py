@@ -5,7 +5,18 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from shiftopt import ExplicitSystem, down_close
+from hypothesis import strategies as st
+
+from shiftopt import (
+    BipartiteGraph,
+    BipartiteMatchings,
+    ExplicitSystem,
+    GraphicMatroid,
+    IndependenceOracle,
+    PartitionMatroid,
+    UniformMatroid,
+    down_close,
+)
 
 
 def rand_closed_system(rng: random.Random, d: int, max_size: int) -> ExplicitSystem:
@@ -148,3 +159,116 @@ def disjoint_union_of_lift(system: ExplicitSystem, n: int) -> set:
 
     rec(0, (0,) * (d * n), 0)
     return out
+
+
+def greedy_dup_by_stacking(oracle, k: int, w):
+    """Reference greedy DUP: stack the answers of each round as a matrix,
+    orthogonalize it (leftmost 1 per row) and read the columns back."""
+    from shiftopt import OrthogonalSelection, columns, from_columns, orthogonalize
+
+    d = oracle.ground_size()
+    remaining = list(w)
+    picks = []
+    for _ in range(k):
+        s = oracle.maximize(remaining)
+        if not any(s):
+            break
+        picks.append(s)
+        for i, bit in enumerate(s):
+            if bit:
+                remaining[i] = 0
+    cols = list(columns(orthogonalize(from_columns(picks)))) if picks else []
+    cols.extend([(0,) * d] * (k - len(cols)))
+    covered = [any(col[i] for col in cols) for i in range(d)]
+    value = sum(wi for wi, hit in zip(w, covered) if hit)
+    return OrthogonalSelection(tuple(cols), value)
+
+
+def constant_shifted_by_lift(oracle, c, n: int):
+    """Reference constant-ratio algorithm: the greedy DUP over the flattened
+    n-lift (LiftedOracle), each selected lift matrix collapsed into one
+    output column by summing its columns.  Expects shifted costs."""
+    from shiftopt import (
+        ApproxResult,
+        LiftedOracle,
+        from_columns,
+        greedy_ratio,
+        shifted_value,
+    )
+
+    d = oracle.ground_size()
+    flat = [c[i][j] for i in range(d) for j in range(n)]
+    sel = greedy_dup_by_stacking(LiftedOracle(oracle, n), n, flat)
+    out_cols = [
+        tuple(sum(col[i * n + j] for j in range(n)) for i in range(d))
+        for col in sel.columns
+    ]
+    y = from_columns(out_cols)
+    return ApproxResult(y, shifted_value(c, y), None, greedy_ratio(n))
+
+
+SYSTEM_KINDS = ("uniform", "partition", "graphic", "bipartite", "closed", "explicit")
+
+
+@st.composite
+def systems(draw, max_d: int = 7):
+    """Any system kind the oracles implement, ground size 0..max_d; "explicit"
+    systems need not be downward closed nor contain the zero vector."""
+    kind = draw(st.sampled_from(SYSTEM_KINDS))
+    d = draw(st.integers(0, max_d))
+    if kind == "uniform":
+        return UniformMatroid(d, draw(st.integers(0, d)))
+    if kind == "partition":
+        # block label per element; -1 leaves the element in no block
+        labels = draw(st.lists(st.integers(-1, 2), min_size=d, max_size=d))
+        caps = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        blocks = tuple(
+            (tuple(i for i in range(d) if labels[i] == b), caps[b])
+            for b in range(3)
+            if b in labels
+        )
+        return PartitionMatroid(d, blocks)
+    if kind in ("graphic", "bipartite"):
+        left = draw(st.integers(1, 4))
+        right = draw(st.integers(1, 4)) if kind == "bipartite" else left
+        edges = tuple(
+            draw(st.lists(
+                st.tuples(st.integers(0, left - 1), st.integers(0, right - 1)),
+                min_size=d, max_size=d,
+            ))
+        )
+        if kind == "graphic":
+            return GraphicMatroid(left, edges)
+        return BipartiteMatchings(BipartiteGraph(left, right, edges))
+    vectors = st.tuples(*[st.integers(0, 1)] * d)
+    if kind == "closed":
+        return ExplicitSystem.closed(draw(st.lists(vectors, max_size=3)) or [(0,) * d])
+    members = draw(st.lists(vectors, min_size=1, max_size=8, unique=True))
+    return ExplicitSystem(tuple(members), downward_closed=False)
+
+
+def costs(d: int, n: int, lo: int = -5, hi: int = 8, shifted: bool = False):
+    """Strategy for d x n integer cost matrices, rows nonincreasing if shifted."""
+    row = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    if shifted:
+        row = row.map(lambda r: sorted(r, reverse=True))
+    return st.lists(row.map(tuple), min_size=d, max_size=d).map(tuple)
+
+
+class CountingOracle(IndependenceOracle):
+    """Wraps an oracle and records every answer maximize returns."""
+
+    def __init__(self, base: IndependenceOracle) -> None:
+        self.base = base
+        self.answers: list[tuple[int, ...]] = []
+
+    def ground_size(self) -> int:
+        return self.base.ground_size()
+
+    def contains(self, v) -> bool:
+        return self.base.contains(v)
+
+    def maximize(self, w):
+        s = self.base.maximize(w)
+        self.answers.append(s)
+        return s

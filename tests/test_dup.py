@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import rand_closed_system
+from helpers import greedy_dup_by_stacking, rand_closed_system, systems
 from shiftopt import (
     GREEDY_DUP,
     ExplicitSystem,
@@ -124,6 +126,34 @@ def test_greedy_uses_one_oracle_call_per_round():
     assert len(calls) == 3
     # covered elements are zeroed out for later rounds
     assert calls[1][0] == 0
+
+
+@st.composite
+def dup_instances(draw):
+    sys_ = draw(systems())
+    w = draw(st.lists(st.integers(-5, 8), min_size=sys_.ground_size(),
+                      max_size=sys_.ground_size()))
+    return sys_, draw(st.integers(1, 5)), w
+
+
+@settings(max_examples=400, deadline=None)
+@given(dup_instances())
+@example((ExplicitSystem(((),), downward_closed=True), 1, []))
+@example((ExplicitSystem(((),)), 3, []))
+@example((ExplicitSystem(((1, 1), (0, 1))), 3, [0, -2]))
+@example((ExplicitSystem(((1, 0, 1), (0, 1, 1))), 2, [-1, 0, 4]))
+@example((UniformMatroid(3, 3), 2, [0, 0, 0]))
+def test_greedy_dup_matches_stacking_reference(instance):
+    sys_, k, w = instance
+    assert greedy_dup(sys_, k, w) == greedy_dup_by_stacking(sys_, k, w)
+
+
+def test_explicit_system_may_cover_nonpositive_weights():
+    # no member avoids element 2, so the greedy covers it and counts its weight
+    sys_ = ExplicitSystem(((0, 1), (1, 1)))
+    sel = greedy_dup(sys_, 2, (3, -2))
+    assert sel.columns == ((1, 1), (0, 0))
+    assert sel.value == 1
 
 
 def test_invalid_arguments():

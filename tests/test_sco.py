@@ -4,14 +4,20 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    CountingOracle,
+    constant_shifted_by_lift,
+    costs,
     disjoint_union_of_lift,
     equivalents_of_power,
     rand_closed_system,
     rand_binary,
     rand_convex_tables,
     rand_cost,
+    systems,
 )
 from shiftopt import (
     ApproxResult,
@@ -142,6 +148,53 @@ def test_constant_shifted_empty_ground_set():
     sys_ = ExplicitSystem(((),), downward_closed=True)
     res = constant_shifted(sys_, (), 2)
     assert res.value == 0
+
+
+@st.composite
+def shifted_instances(draw):
+    sys_ = draw(systems())
+    n = draw(st.integers(1, 5))
+    hi = draw(st.sampled_from((1, 8)))  # hi = 1: mostly zero and negative costs
+    return sys_, draw(costs(sys_.ground_size(), n, -5, hi, shifted=True)), n
+
+
+_NONCLOSED = ExplicitSystem(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(shifted_instances())
+@example((ExplicitSystem(((),), downward_closed=True), (), 1))
+@example((ExplicitSystem(((),)), (), 3))
+@example((UniformMatroid(0, 0), (), 2))
+@example((_NONCLOSED, ((2,), (0,), (-1,)), 1))
+@example((_NONCLOSED, ((0, 0, 0), (0, 0, -1), (-1, -2, -3)), 3))
+@example((_NONCLOSED, ((3, 0, 0), (2, 2, -1), (1, 1, 1)), 3))
+@example((UniformMatroid(3, 2), ((0, 0), (-1, -4), (5, 0)), 2))
+def test_constant_shifted_matches_lift_reference(instance):
+    sys_, c, n = instance
+    assert constant_shifted(sys_, c, n) == constant_shifted_by_lift(sys_, c, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_instances())
+def test_constant_shifted_calls_the_oracle_at_most_n_times(instance):
+    sys_, c, n = instance
+    oracle = CountingOracle(sys_)
+    constant_shifted(oracle, c, n)
+    answers = oracle.answers
+    assert 1 <= len(answers) <= n
+    # only the last answer may be all-zero: the rounds stop there
+    assert all(any(s) for s in answers[:-1])
+    assert len(answers) == n or not any(answers[-1])
+
+
+def test_constant_shifted_stops_at_the_first_all_zero_answer():
+    # both elements are covered in round 1; no positive cell is left after it
+    oracle = CountingOracle(UniformMatroid(2, 2))
+    res = constant_shifted(oracle, matrix([[5, 0, 0, 0], [3, -1, -1, -1]]), 4)
+    assert oracle.answers == [(1, 1), (0, 0)]
+    assert res.solution == ((1, 0, 0, 0), (1, 0, 0, 0))
+    assert res.value == 8
 
 
 # --- the leveled algorithm for general costs
