@@ -21,7 +21,7 @@ CongestionProfile = tuple[int, ...]
 
 def matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     """Canonicalize nested iterables into a rectangular tuple-of-rows matrix."""
-    out = tuple(tuple(int(v) for v in row) for row in rows)
+    out = tuple(tuple(map(int, row)) for row in rows)
     widths = {len(row) for row in out}
     if len(widths) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")

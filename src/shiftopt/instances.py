@@ -724,6 +724,10 @@ def _parse_int_pairs(raw, path: str, what: str) -> list[tuple[int, int]]:
     return out
 
 
+# Maps the characters "0" and "1" of a vector string to the values 0 and 1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _parse_system(obj, path: str) -> SystemSpec:
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"{path}: expected an object")
@@ -733,11 +737,11 @@ def _parse_system(obj, path: str) -> SystemSpec:
             raw = _want(obj, path, "vectors", (list,))
             vectors = []
             for i, s in enumerate(raw):
-                if not isinstance(s, str) or any(ch not in "01" for ch in s):
+                if not isinstance(s, str) or s.strip("01"):
                     raise InstanceFormatError(
                         f"{path}.vectors[{i}]: expected a string of 0/1 characters"
                     )
-                vectors.append(tuple(int(ch) for ch in s))
+                vectors.append(tuple(s.encode().translate(_BIT_VALUES)))
             closed = _want(obj, path, "downward_closed", (bool,), required=False)
             return ExplicitSystem(tuple(vectors), bool(closed))
         if kind == "uniform":
@@ -778,9 +782,11 @@ def _parse_system(obj, path: str) -> SystemSpec:
 def parse(data: bytes | str) -> Instance:
     """Parse instance bytes; malformed input raises InstanceFormatError with
     a line/column position (syntax) or key path (schema)."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         obj = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"byte {exc.start}: not valid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"

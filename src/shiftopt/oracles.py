@@ -38,29 +38,77 @@ class IndependenceOracle:
             )
 
 
+# Maps the 0/1 bytes of a vector to the ASCII digits int(..., 2) reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bytes(v: tuple) -> bytes:
+    """The entries of v as bytes, or b"\\x02" if one lies outside 0..255.
+    Entries that are not ints (1.0, "1") go through int() first."""
+    try:
+        return bytes(v)
+    except TypeError:
+        v = tuple(map(int, v))
+    except ValueError:
+        return b"\x02"
+    return _bytes(v)
+
+
+def _bitmasks(vectors: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], list[int]]:
+    """Canonical int tuples of the vectors and one bitmask per vector
+    (bit i = element i); raises ValueError on unequal lengths or entries
+    other than 0/1."""
+    vecs: list[Vector] = []
+    masks = []
+    for v in vectors:
+        v = tuple(v)
+        if vecs and len(v) != len(vecs[0]):
+            raise ValueError("explicit system vectors of unequal length")
+        raw = _bytes(v)
+        if raw.strip(b"\x00\x01"):
+            raise ValueError("explicit system vectors must be 0/1")
+        vecs.append(tuple(raw))
+        masks.append(int(raw.translate(_DIGITS)[::-1] or b"0", 2))
+    return tuple(vecs), masks
+
+
+def _closed(members: set[int] | frozenset[int]) -> bool:
+    """True iff clearing any one set bit of a member mask yields a member."""
+    for m in members:
+        rest = m
+        while rest:
+            low = rest & -rest
+            if m ^ low not in members:
+                return False
+            rest ^= low
+    return True
+
+
 def down_close(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
-    """Downward closure of a set of 0/1 vectors, sorted by (popcount, bits)."""
-    seen = {tuple(int(b) for b in v) for v in vectors}
+    """Downward closure of a set of equal-length 0/1 vectors, sorted by
+    (popcount, bits)."""
+    vecs, masks = _bitmasks(vectors)
+    d = len(vecs[0]) if vecs else 0
+    seen = set(masks)
     stack = list(seen)
     while stack:
-        v = stack.pop()
-        for i, bit in enumerate(v):
-            if bit:
-                u = v[:i] + (0,) + v[i + 1:]
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return tuple(sorted(seen, key=lambda v: (sum(v), v)))
+        m = stack.pop()
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = m ^ low
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    out = (tuple(m >> i & 1 for i in range(d)) for m in seen)
+    return tuple(sorted(out, key=lambda v: (sum(v), v)))
 
 
 def is_downward_closed(vectors: Iterable[Sequence[int]]) -> bool:
-    """True iff removing any single 1 from a member yields a member."""
-    members = {tuple(v) for v in vectors}
-    for v in members:
-        for i, bit in enumerate(v):
-            if bit and v[:i] + (0,) + v[i + 1:] not in members:
-                return False
-    return True
+    """True iff removing any single 1 from a member yields a member; the
+    vectors must be 0/1 and of equal length."""
+    return _closed(set(_bitmasks(vectors)[1]))
 
 
 @dataclass(frozen=True)
@@ -70,6 +118,15 @@ class ExplicitSystem(IndependenceOracle):
     With downward_closed=True the constructor verifies closure (hence the
     zero vector is present).  Ties in maximize break by list order, so the
     stored order is significant and preserved by serialization.
+
+    The constructor builds a prefix tree of the member supports: a node is
+    a member's bitmask or a prefix of one, and its parent is the same mask
+    with the lowest set bit cleared.  Nodes are numbered in increasing mask
+    order (the root, mask 0, is node 0), so a parent precedes its children;
+    on a downward-closed system the nodes are exactly the members.
+    maximize(w) costs one addition per node, vals[k] = vals[parent] +
+    w[element], then picks the first member (in list order) of largest
+    value.
     """
 
     vectors: tuple[Vector, ...]
@@ -77,23 +134,38 @@ class ExplicitSystem(IndependenceOracle):
     _member_set: frozenset[Vector] = field(
         init=False, repr=False, compare=False, hash=False, default=frozenset()
     )
+    # (parent node, element) for nodes 1, 2, ...; node 0 is the root.
+    _tree: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=()
+    )
+    # The tree node of each member, in list order.
+    _member_nodes: tuple[int, ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=()
+    )
 
     def __post_init__(self) -> None:
-        vecs = tuple(tuple(int(b) for b in v) for v in self.vectors)
+        vecs, masks = _bitmasks(self.vectors)
         if not vecs:
             raise ValueError("explicit system must list at least one vector")
-        d = len(vecs[0])
-        for v in vecs:
-            if len(v) != d:
-                raise ValueError("explicit system vectors of unequal length")
-            if any(b not in (0, 1) for b in v):
-                raise ValueError("explicit system vectors must be 0/1")
-        if len(set(vecs)) != len(vecs):
+        mask_set = frozenset(masks)
+        if len(mask_set) != len(masks):
             raise ValueError("explicit system vectors must be distinct")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_member_set", frozenset(vecs))
-        if self.downward_closed and not is_downward_closed(vecs):
+        if self.downward_closed and not _closed(mask_set):
             raise ValueError("system flagged downward_closed is not closed")
+        nodes = {0}
+        for m in masks:
+            while m not in nodes:
+                nodes.add(m)
+                m &= m - 1
+        order = sorted(nodes)
+        index = {m: k for k, m in enumerate(order)}
+        tree = tuple(
+            (index[m & (m - 1)], (m & -m).bit_length() - 1) for m in order[1:]
+        )
+        object.__setattr__(self, "_tree", tree)
+        object.__setattr__(self, "_member_nodes", tuple(index[m] for m in masks))
 
     @classmethod
     def closed(cls, vectors: Iterable[Sequence[int]]) -> "ExplicitSystem":
@@ -108,13 +180,12 @@ class ExplicitSystem(IndependenceOracle):
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)
-        best = self.vectors[0]
-        best_val = sum(wi * bi for wi, bi in zip(w, best))
-        for v in self.vectors[1:]:
-            val = sum(wi * bi for wi, bi in zip(w, v))
-            if val > best_val:
-                best, best_val = v, val
-        return best
+        vals = [0]
+        push = vals.append
+        for parent, elem in self._tree:
+            push(vals[parent] + w[elem])
+        member_vals = list(map(vals.__getitem__, self._member_nodes))
+        return self.vectors[member_vals.index(max(member_vals))]
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,61 @@ def rand_convex_tables(rng: random.Random, d: int, n: int):
     return tuple(tables)
 
 
+def explicit_maximize_by_scan(system: ExplicitSystem, w):
+    """Reference explicit oracle: a dot product with every member in list
+    order, keeping the first member of largest value."""
+    best = system.vectors[0]
+    best_val = sum(wi * bi for wi, bi in zip(w, best))
+    for v in system.vectors[1:]:
+        val = sum(wi * bi for wi, bi in zip(w, v))
+        if val > best_val:
+            best, best_val = v, val
+    return best
+
+
+def down_close_by_tuples(vectors):
+    """Reference downward closure on tuples, sorted by (popcount, bits)."""
+    seen = {tuple(int(b) for b in v) for v in vectors}
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for i, bit in enumerate(v):
+            if bit:
+                u = v[:i] + (0,) + v[i + 1:]
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return tuple(sorted(seen, key=lambda v: (sum(v), v)))
+
+
+def is_downward_closed_by_tuples(vectors) -> bool:
+    """Reference closure check: every single-1 removal is a member."""
+    members = {tuple(v) for v in vectors}
+    for v in members:
+        for i, bit in enumerate(v):
+            if bit and v[:i] + (0,) + v[i + 1:] not in members:
+                return False
+    return True
+
+
+def explicit_constructor_error(vectors, downward_closed: bool = False):
+    """Reference ExplicitSystem validation on tuples: the ValueError message
+    for the vectors, or None if they form a valid system."""
+    vecs = tuple(tuple(int(b) for b in v) for v in vectors)
+    if not vecs:
+        return "explicit system must list at least one vector"
+    for v in vecs:
+        if len(v) != len(vecs[0]):
+            return "explicit system vectors of unequal length"
+        if any(b not in (0, 1) for b in v):
+            return "explicit system vectors must be 0/1"
+    if len(set(vecs)) != len(vecs):
+        return "explicit system vectors must be distinct"
+    if downward_closed and not is_downward_closed_by_tuples(vecs):
+        return "system flagged downward_closed is not closed"
+    return None
+
+
 def lift_value_by_scan(system: ExplicitSystem, c) -> int:
     """Independent lift-problem optimum: each member scores its rows' best columns."""
     best = None

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -261,3 +262,18 @@ def test_criterion_10_bench_determinism(tmp_path):
         assert cli_main(args + ["--out", str(out2)]) == 0
         b1, b2 = out1.read_bytes(), out2.read_bytes()
         assert b1 == b2 and b1
+
+
+# SHA-256 of the criterion-10 CSV as written before the explicit oracle
+# moved to a prefix tree; any change to the bench output bytes fails here.
+CRITERION_10_CSV_SHA256 = "f04ff7a99bfa824b10f5117d1647f8f089932b71c97e5a7d0e33d38365409612"
+
+
+def test_criterion_10_bench_csv_golden(tmp_path):
+    out = tmp_path / "run.csv"
+    args = [
+        "bench", "--d", "5", "--n", "3", "--set-size", "12", "--cost-range", "7",
+        "--shifted", "true", "--trials", "40", "--seed", "2024", "--out", str(out),
+    ]
+    assert cli_main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_10_CSV_SHA256

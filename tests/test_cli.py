@@ -103,6 +103,14 @@ def test_solve_parse_error_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["solve", str(path), "--variant", "log"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 def run_bench(tmp_path, name, extra=()):
     out = tmp_path / name
     args = [

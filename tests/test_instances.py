@@ -409,6 +409,13 @@ def test_parse_reports_positions():
     assert "c[0]" in str(err.value)
 
 
+def test_parse_rejects_bytes_that_are_not_utf8():
+    with pytest.raises(InstanceFormatError, match="byte 0: not valid UTF-8"):
+        parse(b"\xff")
+    with pytest.raises(InstanceFormatError, match="byte 13"):
+        parse(b'{"version": 1\xc3(}')
+
+
 def test_instance_validates_dimensions():
     with pytest.raises(ValueError):
         Instance(UniformMatroid(2, 1), 2, matrix([[1, 1]]))

@@ -2,8 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    down_close_by_tuples,
+    explicit_constructor_error,
+    explicit_maximize_by_scan,
+    is_downward_closed_by_tuples,
     lift_value_by_scan,
     lift_value_full_enum,
     rand_closed_system,
@@ -14,6 +20,7 @@ from shiftopt import (
     BipartiteMatchings,
     ExplicitSystem,
     GraphicMatroid,
+    Instance,
     LiftedOracle,
     PartitionMatroid,
     UniformMatroid,
@@ -22,6 +29,7 @@ from shiftopt import (
     is_downward_closed,
     lift_maximize,
     matrix,
+    serialize,
 )
 
 
@@ -72,6 +80,116 @@ def test_down_close_and_check():
     assert set(closed) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)}
     assert is_downward_closed(closed)
     assert not is_downward_closed([(1, 1, 0)])
+
+
+def test_explicit_ground_size_zero():
+    sys_ = ExplicitSystem(((),), downward_closed=True)
+    assert sys_.maximize(()) == () and sys_.ground_size() == 0
+
+
+def test_explicit_weights_above_2_to_64_stay_exact():
+    sys_ = ExplicitSystem(((1, 0, 0), (1, 1, 0), (0, 1, 1)))
+    big = 2**64
+    # (0,1,1) beats (1,1,0) by exactly 1, which a float sum would round
+    # into a tie (won by list order) and an int64 sum would overflow.
+    assert sys_.maximize((big, 2**70, big + 1)) == (0, 1, 1)
+    assert sys_.maximize((-big, -big, -big)) == (1, 0, 0)
+
+
+def test_explicit_ties_go_to_list_order_not_mask_order():
+    vecs = ((0, 1), (1, 0), (0, 0), (1, 1))
+    sys_ = ExplicitSystem(vecs, downward_closed=True)
+    assert sys_.maximize((5, 5)) == (1, 1)
+    assert sys_.maximize((5, -5)) == (1, 0)
+    assert sys_.maximize((0, 0)) == (0, 1)
+    assert sys_.maximize((-1, -1)) == (0, 0)
+
+
+def _bit_vectors(d):
+    return st.tuples(*[st.integers(0, 1)] * d)
+
+
+@st.composite
+def explicit_systems(draw, max_d: int = 8):
+    """Closed systems in any list order, and arbitrary member lists."""
+    d = draw(st.integers(0, max_d))
+    if draw(st.booleans()):
+        gens = draw(st.lists(_bit_vectors(d), max_size=4)) or [(0,) * d]
+        members = draw(st.permutations(down_close_by_tuples(gens)))
+        return ExplicitSystem(tuple(members), downward_closed=True)
+    members = draw(st.lists(_bit_vectors(d), min_size=1, max_size=12, unique=True))
+    return ExplicitSystem(tuple(members))
+
+
+WEIGHTS = {
+    "small": st.integers(-3, 3),  # many ties
+    "negative": st.integers(-9, -1),
+    "huge": st.integers(-(2**70), 2**70),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_explicit_maximize_matches_list_scan(data):
+    sys_ = data.draw(explicit_systems())
+    weight = WEIGHTS[data.draw(st.sampled_from(sorted(WEIGHTS)))]
+    d = sys_.ground_size()
+    w = data.draw(st.lists(weight, min_size=d, max_size=d))
+    assert sys_.maximize(w) == explicit_maximize_by_scan(sys_, w)
+    assert sys_.maximize(tuple(w)) == explicit_maximize_by_scan(sys_, w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda d: st.lists(_bit_vectors(d), max_size=10)))
+def test_closure_matches_tuple_references(vectors):
+    assert is_downward_closed(vectors) == is_downward_closed_by_tuples(vectors)
+    closed = down_close(vectors)
+    assert closed == down_close_by_tuples(vectors)  # same members, same order
+    assert is_downward_closed(closed)
+    for i in range(len(closed)):  # near misses: one member short of closed
+        rest = closed[:i] + closed[i + 1:]
+        assert is_downward_closed(rest) == is_downward_closed_by_tuples(rest)
+
+
+ENTRIES = st.sampled_from((0, 1, 0, 1, True, False, 2, -1))
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.lists(st.lists(ENTRIES, min_size=2, max_size=3).map(tuple), max_size=6),
+    st.booleans(),
+)
+def test_explicit_constructor_accepts_and_rejects_as_reference(vectors, closed):
+    err = explicit_constructor_error(vectors, closed)
+    if err is None:
+        sys_ = ExplicitSystem(tuple(vectors), closed)
+        assert sys_.vectors == tuple(tuple(int(b) for b in v) for v in vectors)
+        assert all(type(b) is int for v in sys_.vectors for b in v)
+    else:
+        with pytest.raises(ValueError) as exc:
+            ExplicitSystem(tuple(vectors), closed)
+        assert str(exc.value) == err
+
+
+def test_explicit_constructor_contract():
+    rejected = {
+        ((0, 1), (1,)): "unequal length",
+        ((0, 2),): "must be 0/1",
+        ((0, 0), (0, -1)): "must be 0/1",
+        ((1, 0), (1, 0)): "distinct",
+        (): "at least one vector",
+    }
+    for vectors, message in rejected.items():
+        with pytest.raises(ValueError, match=message):
+            ExplicitSystem(vectors)
+    with pytest.raises(ValueError, match="not closed"):
+        ExplicitSystem(((0, 0), (1, 1)), downward_closed=True)
+    sys_ = ExplicitSystem(((True, False), (0, 0)))
+    assert sys_.vectors == ((1, 0), (0, 0))
+    assert all(type(b) is int for v in sys_.vectors for b in v)
+    assert b'"10"' in serialize(Instance(sys_, 1, ((0,), (0,))))
+    # Entries that int() maps to 0/1 are still accepted.
+    assert ExplicitSystem(((1.0, "0"),)).vectors == ((1, 0),)
 
 
 # --- matroid oracles
