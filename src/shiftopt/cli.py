@@ -8,8 +8,9 @@ Subcommands:
 * gadget -- emit reduction/gadget instances as files.
 
 Exit codes: 0 ok, 1 I/O or parse error, 2 validation error (including a
-variant applied to an instance it does not support), 3 bound violation
-detected by bench.
+variant applied to an instance it does not support, such as an
+approximation variant on a system that is not downward closed, and a
+solution column outside the system), 3 bound violation detected by bench.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import csv
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
-from .core import first_unshifted_row
+from .core import columns
 from .instances import (
     DEFAULT_BUDGET,
     EnumerationBudgetExceeded,
@@ -31,6 +33,7 @@ from .instances import (
     PrescribedCongestion,
     body_to_system,
     brute_force_sco,
+    bump_costs,
     coloring_gadget,
     congestion_to_cost,
     explicit_members,
@@ -41,16 +44,10 @@ from .instances import (
     random_instance,
     serialize,
 )
-from .oracles import BipartiteMatchings, ExplicitSystem, UniformMatroid
-from .sco import (
-    NotShiftedError,
-    constant_shifted,
-    convex_identical,
-    log_approx,
-    small_n_approx,
-)
+from .oracles import BipartiteMatchings, ExplicitSystem, UniformMatroid, is_downward_closed
+from .sco import APPROX_VARIANTS, NotShiftedError, convex_identical
 
-VARIANTS = ("shifted", "log", "small-n", "convex", "exact")
+VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
 
 @dataclass(frozen=True)
@@ -113,52 +110,37 @@ def _cmd_solve(args) -> int:
         return 1
 
     c, n, system = inst.c, inst.n, inst.system
+    bound, level = Fraction(1), None
     try:
         if args.variant == "exact":
             members = explicit_members(system, args.budget)
             value, solution = brute_force_sco(members, c, n, args.budget)
-            bound = Fraction(1)
-            level = None
-        elif args.variant == "shifted":
-            res = constant_shifted(system, c, n)
-            value, solution, bound, level = res.value, res.solution, res.bound, res.level
-        elif args.variant == "log":
-            res = log_approx(system, c, n)
-            value, solution, bound, level = res.value, res.solution, res.bound, res.level
-        elif args.variant == "small-n":
-            res = small_n_approx(system, c, n)
-            value, solution, bound, level = res.value, res.solution, res.bound, res.level
-        else:  # convex: interpret rows as increments of per-element value tables
-            tables = []
-            for row in c:
-                run, table = 0, [0]
-                for v in row:
-                    run += v
-                    table.append(run)
-                tables.append(tuple(table))
-            bad = first_unshifted_row(tuple(tuple(reversed(row)) for row in c))
-            if bad is not None:
-                raise NotShiftedError(bad)
+        elif args.variant == "convex":  # rows are increments of per-element value tables
+            tables = [tuple(accumulate(row, initial=0)) for row in c]
             s, value = convex_identical(system, tables, n)
             solution = tuple((b,) * n for b in s)
-            bound = Fraction(1)
-            level = None
-    except NotShiftedError as exc:
-        if args.variant == "convex":
-            print(
-                f"validation error: row {exc.row + 1} is not nondecreasing; "
-                "the convex variant needs convex per-element tables",
-                file=sys.stderr,
-            )
         else:
-            print(
-                f"validation error: cost matrix is not shifted, row {exc.row + 1} increases",
-                file=sys.stderr,
-            )
+            if isinstance(system, ExplicitSystem) and not is_downward_closed(system.vectors):
+                raise ValueError(
+                    f"explicit system is not downward closed; the {args.variant} variant "
+                    "needs a downward-closed system (for a uniform-cardinality body, "
+                    "lift it with `gadget lift-body`)"
+                )
+            res = APPROX_VARIANTS[args.variant][0](system, c, n)
+            value, solution, bound, level = res.value, res.solution, res.bound, res.level
+    except NotShiftedError as exc:
+        print(
+            f"validation error: cost matrix is not shifted, row {exc.row + 1} increases",
+            file=sys.stderr,
+        )
         return 2
     except (ValueError, EnumerationBudgetExceeded) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    for j, col in enumerate(columns(solution), 1):
+        if not system.contains(col):
+            print(f"validation error: solution column {j} is not in the system", file=sys.stderr)
+            return 2
 
     print(f"variant: {args.variant}")
     print(f"value: {value}")
@@ -213,13 +195,13 @@ def _cmd_bench(args) -> int:
                         apx=None,
                         opt=None,
                         ratio=None,
-                        bound=_run_variant_bound(variant, inst),
+                        bound=APPROX_VARIANTS[variant][1](inst.n),
                         skipped=True,
                     )
                 )
             continue
         for variant in variants:
-            res = _run_variant(variant, inst)
+            res = APPROX_VARIANTS[variant][0](inst.system, inst.c, inst.n)
             ratio = Fraction(res.value, opt) if opt > 0 else None
             records.append(
                 BenchRecord(
@@ -260,21 +242,6 @@ def _cmd_bench(args) -> int:
         print(f"bound violations detected: {violations}", file=sys.stderr)
         return 3
     return 0
-
-
-def _run_variant(variant: str, inst: Instance):
-    if variant == "shifted":
-        return constant_shifted(inst.system, inst.c, inst.n)
-    if variant == "log":
-        return log_approx(inst.system, inst.c, inst.n)
-    return small_n_approx(inst.system, inst.c, inst.n)
-
-
-def _run_variant_bound(variant: str, inst: Instance) -> Fraction:
-    from .sco import ratio_bound
-
-    key = {"shifted": "shifted_constant", "log": "general_log", "small-n": "small_n"}[variant]
-    return ratio_bound(key, inst.n)
 
 
 def _parse_edge_list(text: str) -> tuple[tuple[int, int], ...]:
@@ -347,8 +314,7 @@ def _cmd_gadget(args) -> int:
             family = _parse_family(args.sets)
             bgraph, pc = hexagon_gadget(family, args.k)
             c, target_c = congestion_to_cost(pc)
-            bump = 2 * sum(abs(v) for row in c for v in row) + 1
-            b = tuple(tuple(v + bump for v in row) for row in c)
+            bump, b = bump_costs(c)
             pm_size = (bgraph.left + bgraph.right) // 2
             target = target_c + bump * 2 * pm_size
             inst = Instance(
@@ -390,7 +356,7 @@ def _cmd_gadget(args) -> int:
             closure, b = body_to_system(body_inst.system, body_inst.c)
             meta = body_inst.meta
             if meta is not None and meta.target is not None:
-                bump = 2 * sum(abs(v) for row in body_inst.c for v in row) + 1
+                bump, _ = bump_costs(body_inst.c)
                 card = sum(body_inst.system.vectors[0])
                 meta = replace(
                     meta, target=meta.target + bump * body_inst.n * card

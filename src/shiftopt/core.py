@@ -33,6 +33,17 @@ def dims(x: Matrix) -> tuple[int, int]:
     return (len(x), len(x[0]) if x else 0)
 
 
+def check_cost_shape(c: Matrix, n: int, ground_size: int) -> None:
+    """Raise ValueError unless n >= 1 and c has n columns and ground_size rows."""
+    d, nc = dims(c)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d > 0 and nc != n:
+        raise ValueError(f"cost matrix has {nc} columns, expected {n}")
+    if d != ground_size:
+        raise ValueError(f"cost matrix has {d} rows, oracle ground size {ground_size}")
+
+
 def from_columns(cols: Sequence[Sequence[int]]) -> Matrix:
     """Assemble a matrix from its columns (at least one column required)."""
     if not cols:

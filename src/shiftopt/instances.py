@@ -109,8 +109,57 @@ def _check_budget(candidates: int, budget: int, what: str) -> None:
         )
 
 
-def _supports(vectors: Sequence[Vector]) -> list[tuple[int, ...]]:
-    return [tuple(i for i, b in enumerate(v) if b) for v in vectors]
+def _best_multiset(
+    members: Sequence[Vector],
+    rows: Sequence[Sequence[int]],
+    n: int,
+    ceiling: int | None = None,
+) -> tuple[int | None, tuple[int, ...]]:
+    """Best n-multiset of members when the q-th use of element i gains
+    rows[i][q - 1]: its value and member indices, (0, ()) for n = 0, or
+    (None, ()) when there are no members.
+
+    Multisets are visited in list order with nondecreasing indices and only
+    a strictly better value replaces the incumbent, so the first maximizer
+    wins.  The search stops at the first value equal to `ceiling`, which the
+    caller guarantees no multiset exceeds.
+    """
+    if n == 0:
+        return 0, ()
+    supports = [tuple(i for i, b in enumerate(v) if b) for v in members]
+    count = len(members)
+    cong = [0] * len(rows)
+    pick: list[int] = []
+    best_val: int | None = None
+    best_pick: tuple[int, ...] = ()
+
+    def rec(start: int, value: int) -> bool:
+        # True once the ceiling is reached; the search then unwinds at once.
+        nonlocal best_val, best_pick
+        if len(pick) == n - 1:
+            # The last pick of a branch is scored in place, without recursing.
+            for idx in range(start, count):
+                total = value + sum(rows[i][cong[i]] for i in supports[idx])
+                if best_val is None or total > best_val:
+                    best_val, best_pick = total, (*pick, idx)
+                    if total == ceiling:
+                        return True
+            return False
+        for idx in range(start, count):
+            sup = supports[idx]
+            delta = sum(rows[i][cong[i]] for i in sup)
+            for i in sup:
+                cong[i] += 1
+            pick.append(idx)
+            if rec(idx, value + delta):
+                return True
+            pick.pop()
+            for i in sup:
+                cong[i] -= 1
+        return False
+
+    rec(0, 0)
+    return best_val, best_pick
 
 
 def brute_force_sco(
@@ -127,30 +176,7 @@ def brute_force_sco(
         raise ValueError(f"cost matrix {dims(c)} does not match d={d}, n={n}")
     members = system.vectors
     _check_budget(comb(len(members) + n - 1, n), budget, "shifted brute force")
-    supports = _supports(members)
-    cong = [0] * d
-    best_val: int | None = None
-    best_pick: tuple[int, ...] = ()
-    pick: list[int] = []
-
-    def rec(start: int, value: int) -> None:
-        nonlocal best_val, best_pick
-        if len(pick) == n:
-            if best_val is None or value > best_val:
-                best_val = value
-                best_pick = tuple(pick)
-            return
-        for idx in range(start, len(members)):
-            delta = sum(c[i][cong[i]] for i in supports[idx])
-            for i in supports[idx]:
-                cong[i] += 1
-            pick.append(idx)
-            rec(idx, value + delta)
-            pick.pop()
-            for i in supports[idx]:
-                cong[i] -= 1
-
-    rec(0, 0)
+    best_val, best_pick = _best_multiset(members, c, n)
     assert best_val is not None
     witness = from_columns([members[i] for i in best_pick])
     return best_val, witness
@@ -206,66 +232,26 @@ def brute_force_generalized(
             raise ValueError(f"value table for element {i + 1} must have {n + 1} entries")
     members = system.vectors
     _check_budget(comb(len(members) + n - 1, n), budget, "generalized brute force")
-    supports = _supports(members)
-    base = sum(t[0] for t in tables)
-    cong = [0] * d
-    best: int | None = None
-    depth = 0
-
-    def rec(start: int, value: int) -> None:
-        nonlocal best, depth
-        if depth == n:
-            if best is None or value > best:
-                best = value
-            return
-        for idx in range(start, len(members)):
-            delta = sum(tables[i][cong[i] + 1] - tables[i][cong[i]] for i in supports[idx])
-            for i in supports[idx]:
-                cong[i] += 1
-            depth += 1
-            rec(idx, value + delta)
-            depth -= 1
-            for i in supports[idx]:
-                cong[i] -= 1
-
-    rec(0, base)
+    increments = [tuple(b - a for a, b in zip(t, t[1:])) for t in tables]
+    best, _ = _best_multiset(members, increments, n)
     assert best is not None
-    return best
+    return best + sum(t[0] for t in tables)
 
 
 def congestion_feasible(
     vectors: Sequence[Vector], pc: PrescribedCongestion, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Decide by enumeration whether some n-multiset of the given vectors hits
-    every prescribed congestion set."""
+    every prescribed congestion set: the shifted optimum under the costs of
+    congestion_to_cost reaches its target exactly then."""
     d = len(pc.sets)
     for v in vectors:
         if len(v) != d:
             raise ValueError("vector length does not match congestion sets")
     _check_budget(comb(len(vectors) + pc.n - 1, pc.n), budget, "congestion feasibility")
-    supports = _supports(list(vectors))
-    cong = [0] * d
-    found = False
-
-    def rec(start: int, depth: int) -> None:
-        nonlocal found
-        if found:
-            return
-        if depth == pc.n:
-            if all(cong[i] in pc.sets[i] for i in range(d)):
-                found = True
-            return
-        for idx in range(start, len(vectors)):
-            for i in supports[idx]:
-                cong[i] += 1
-            rec(idx, depth + 1)
-            for i in supports[idx]:
-                cong[i] -= 1
-            if found:
-                return
-
-    rec(0, 0)
-    return found
+    rows, target = congestion_to_cost(pc)
+    value, _ = _best_multiset(vectors, rows, pc.n, ceiling=target)
+    return value == target
 
 
 def congestion_to_cost(pc: PrescribedCongestion) -> tuple[Matrix, int]:
@@ -321,9 +307,16 @@ def body_to_system(T: ExplicitSystem, c: Matrix) -> tuple[ExplicitSystem, Matrix
     dc, _ = dims(c)
     if dc != T.ground_size():
         raise ValueError(f"cost matrix has {dc} rows, body ground size {T.ground_size()}")
+    return ExplicitSystem.closed(T.vectors), bump_costs(c)[1]
+
+
+def bump_costs(c: Matrix) -> tuple[int, Matrix]:
+    """The bump 2|c| + 1 (|c| the sum of absolute entries) and c with the
+    bump added to every entry.  A solution with t ones gains bump * t, so
+    targets over bumped costs shift by bump times the ones a target
+    solution has."""
     bump = 2 * sum(abs(v) for row in c for v in row) + 1
-    b = tuple(tuple(v + bump for v in row) for row in c)
-    return ExplicitSystem.closed(T.vectors), b
+    return bump, tuple(tuple(v + bump for v in row) for row in c)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Matrix, Vector, dims
+from .core import Matrix, Vector, check_cost_shape
 
 
 class IndependenceOracle:
@@ -412,15 +412,7 @@ def lift_maximize(oracle: IndependenceOracle, n: int, c: Matrix) -> Matrix:
     oracle on w_i = c[i][j(i)] and routing the returned ones to column j(i)
     is optimal.
     """
-    d, nc = dims(c)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if nc != n and d > 0:
-        raise ValueError(f"cost matrix has {nc} columns, expected {n}")
-    if d != oracle.ground_size():
-        raise ValueError(
-            f"cost matrix has {d} rows, oracle ground size {oracle.ground_size()}"
-        )
+    check_cost_shape(c, n, oracle.ground_size())
     picks: list[int] = []
     w: list[int] = []
     for row in c:
@@ -432,7 +424,7 @@ def lift_maximize(oracle: IndependenceOracle, n: int, c: Matrix) -> Matrix:
         w.append(row[jbest])
     s = oracle.maximize(w)
     return tuple(
-        tuple(s[i] if j == picks[i] else 0 for j in range(n)) for i in range(d)
+        tuple(bit if j == jbest else 0 for j in range(n)) for bit, jbest in zip(s, picks)
     )
 
 

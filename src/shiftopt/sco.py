@@ -21,13 +21,14 @@ oracle call is exact because some optimal solution repeats a single column.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     Matrix,
     Vector,
+    check_cost_shape,
     congestion,
     dims,
     first_unshifted_row,
@@ -181,20 +182,12 @@ def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxRes
     the first all-zero answer, so at most n oracle calls are made.  The
     value is at least 1 - (1 - 1/n)^n >= 1 - 1/e times the optimum.
     """
-    d, nc = dims(c)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d > 0 and nc != n:
-        raise ValueError(f"cost matrix has {nc} columns, expected {n}")
-    if d != oracle.ground_size():
-        raise ValueError(
-            f"cost matrix has {d} rows, oracle ground size {oracle.ground_size()}"
-        )
+    check_cost_shape(c, n, oracle.ground_size())
     bad = first_unshifted_row(c)
     if bad is not None:
         raise NotShiftedError(bad)
-    m = [0] * d
-    out = [[0] * n for _ in range(d)]
+    m = [0] * len(c)
+    out = [[0] * n for _ in c]
     for r in range(n):
         w = [
             row[0] if mi == 0 else row[mi] if mi < n and row[mi] > 0 else 0
@@ -227,15 +220,7 @@ def log_approx(
     copies.  The best cleaned level is returned with ratio
     solver.ratio(n) / (4 ceil(log2 n) + 8).
     """
-    d, nc = dims(c)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d > 0 and nc != n:
-        raise ValueError(f"cost matrix has {nc} columns, expected {n}")
-    if d != oracle.ground_size():
-        raise ValueError(
-            f"cost matrix has {d} rows, oracle ground size {oracle.ground_size()}"
-        )
+    check_cost_shape(c, n, oracle.ground_size())
     top = ceil_log2(n)
     best: tuple[Matrix, int, int] | None = None
     for level in range(top + 1):
@@ -245,8 +230,7 @@ def log_approx(
         if best is None or val > best[1]:
             best = (sol, val, level)
     assert best is not None
-    bound = solver.ratio(n) / (4 * top + 8)
-    return ApproxResult(best[0], best[1], best[2], bound)
+    return ApproxResult(best[0], best[1], best[2], _log_bound(n, solver.ratio))
 
 
 _SMALL_N_LEVELS: dict[int, tuple[tuple[int, int], ...]] = {
@@ -256,17 +240,23 @@ _SMALL_N_LEVELS: dict[int, tuple[tuple[int, int], ...]] = {
 }
 
 
-def _small_n_bound(n: int, solver: DupSolver) -> Fraction:
+def _log_bound(n: int, ratio: Callable[[int], Fraction] = greedy_ratio) -> Fraction:
+    return ratio(n) / (4 * ceil_log2(n) + 8)
+
+
+def _small_n_bound(n: int, ratio: Callable[[int], Fraction] = greedy_ratio) -> Fraction:
     # Combination multipliers of the per-level guarantees; with the greedy
     # ratios these evaluate to 3/5, 19/42 and 2625/6692.
     if n == 2:
-        b = solver.ratio(2)
+        b = ratio(2)
         return 2 * b / (2 * b + 1)
     if n == 3:
-        b = solver.ratio(3)
+        b = ratio(3)
         return 2 * b / (3 * b + 1)
-    b2, b4 = solver.ratio(2), solver.ratio(4)
-    return 1 / (Fraction(4, 3) + Fraction(2, 5) / b2 + Fraction(7, 15) / b4)
+    if n == 4:
+        b2, b4 = ratio(2), ratio(4)
+        return 1 / (Fraction(4, 3) + Fraction(2, 5) / b2 + Fraction(7, 15) / b4)
+    raise ValueError(f"small-n bound defined only for n in {{2,3,4}}, got {n}")
 
 
 def small_n_approx(
@@ -283,20 +273,24 @@ def small_n_approx(
     """
     if n not in _SMALL_N_LEVELS:
         raise ValueError(f"small-n algorithm supports n in {{2,3,4}}, got {n}")
-    d, nc = dims(c)
-    if d > 0 and nc != n:
-        raise ValueError(f"cost matrix has {nc} columns, expected {n}")
-    if d != oracle.ground_size():
-        raise ValueError(
-            f"cost matrix has {d} rows, oracle ground size {oracle.ground_size()}"
-        )
+    check_cost_shape(c, n, oracle.ground_size())
     best: tuple[Matrix, int, int] | None = None
     for level, (k, copies) in enumerate(_SMALL_N_LEVELS[n]):
         sol, val = level_candidate(oracle, c, n, k, copies, solver)
         if best is None or val > best[1]:
             best = (sol, val, level)
     assert best is not None
-    return ApproxResult(best[0], best[1], best[2], _small_n_bound(n, solver))
+    return ApproxResult(best[0], best[1], best[2], _small_n_bound(n, solver.ratio))
+
+
+# Variant name (as the CLI spells it) -> (algorithm, proven ratio as a function of n).
+APPROX_VARIANTS = {
+    "shifted": (constant_shifted, greedy_ratio),
+    "log": (log_approx, _log_bound),
+    "small-n": (small_n_approx, _small_n_bound),
+}
+
+_RATIO_KEYS = {"shifted_constant": "shifted", "general_log": "log", "small_n": "small-n"}
 
 
 def ratio_bound(variant: str, n: int) -> Fraction:
@@ -307,16 +301,9 @@ def ratio_bound(variant: str, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if variant == "shifted_constant":
-        return greedy_ratio(n)
-    if variant == "general_log":
-        return greedy_ratio(n) / (4 * ceil_log2(n) + 8)
-    if variant == "small_n":
-        table = {2: Fraction(3, 5), 3: Fraction(19, 42), 4: Fraction(2625, 6692)}
-        if n not in table:
-            raise ValueError(f"small_n bound defined only for n in {{2,3,4}}, got {n}")
-        return table[n]
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in _RATIO_KEYS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return APPROX_VARIANTS[_RATIO_KEYS[variant]][1](n)
 
 
 def convex_identical(

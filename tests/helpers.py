@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from hypothesis import strategies as st
 
@@ -172,6 +172,39 @@ def sco_value_full_tuple_enum(system: ExplicitSystem, c, n: int) -> int:
             best = val
     assert best is not None
     return best
+
+
+def sco_first_optimum_by_multisets(system: ExplicitSystem, c, n: int):
+    """(value, witness) of the first optimal n-multiset of members, taking
+    multisets in itertools' lexicographic order of member positions: the
+    witness the shifted brute force documents."""
+    from shiftopt import from_columns, shifted_value
+
+    best = None
+    for combo in combinations_with_replacement(system.vectors, n):
+        x = from_columns(combo)
+        val = shifted_value(c, x)
+        if best is None or val > best[0]:
+            best = (val, x)
+    return best
+
+
+def generalized_value_by_tuples(system: ExplicitSystem, tables, n: int) -> int:
+    """Optimum of sum_i f_i(congestion_i) by enumerating ordered n-tuples of
+    members, with the congestion summed afresh for each tuple."""
+    d = system.ground_size()
+    return max(
+        sum(tables[i][sum(v[i] for v in combo)] for i in range(d))
+        for combo in product(system.vectors, repeat=n)
+    )
+
+
+def congestion_feasible_by_tuples(vectors, pc) -> bool:
+    """Prescribed-congestion feasibility by enumerating ordered n-tuples."""
+    return any(
+        all(sum(v[i] for v in combo) in s for i, s in enumerate(pc.sets))
+        for combo in product(vectors, repeat=pc.n)
+    )
 
 
 def equivalents_of_power(system: ExplicitSystem, n: int) -> set:

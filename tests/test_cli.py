@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from shiftopt import (
     serialize,
 )
 from shiftopt.cli import main
+from shiftopt.sco import APPROX_VARIANTS, ApproxResult
 
 
 def write_instance(tmp_path, inst, name="inst.json"):
@@ -186,6 +188,16 @@ def test_gadget_hexagon_infeasible_case(tmp_path, capsys):
     assert "met: no" in capsys.readouterr().out
 
 
+def test_gadget_hexagon_file_is_golden(tmp_path, capsys):
+    out = tmp_path / "hex.json"
+    assert main(["gadget", "hexagon", "--k", "6", "--sets", "1,2,3;4,5,6;1,4,5",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e4cd04c339dbeccde082f56136cb9cae32dd80051c65e972bfefc464315fdd66"
+    )
+
+
 def test_gadget_congestion_trivial_sets(tmp_path, capsys):
     out = tmp_path / "cong.json"
     assert main(["gadget", "congestion", "--n", "2", "--sets", "0,1,2;0,1,2",
@@ -210,6 +222,27 @@ def test_gadget_independent_set_triangle(tmp_path, capsys):
     assert "met: no" in text
     value = int(next(l for l in text.splitlines() if l.startswith("value:")).split()[1])
     assert value < 0
+    # star systems are not downward closed: no approximation variant may run
+    for variant in ("shifted", "log", "small-n"):
+        assert main(["solve", str(out), "--variant", variant]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation error:")
+        assert "not downward closed" in captured.err and "gadget lift-body" in captured.err
+
+
+def test_solve_rejects_a_solution_column_outside_the_system(tmp_path, capsys, monkeypatch):
+    inst = random_instance(10, d=4, n=2, set_size=8, cost_range=5, shifted=True)
+    assert not inst.system.contains((1, 1, 1, 1))
+    path = write_instance(tmp_path, inst)
+    outside = ApproxResult(((0, 1),) * 4, 0, None, Fraction(1))
+    monkeypatch.setitem(
+        APPROX_VARIANTS, "log", (lambda oracle, c, n: outside, APPROX_VARIANTS["log"][1])
+    )
+    assert main(["solve", path, "--variant", "log", "--print-solution"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: solution column 2 is not in the system\n"
 
 
 def test_gadget_coloring_k4(tmp_path, capsys):
@@ -247,3 +280,21 @@ def test_gadget_lift_body_round_trip(tmp_path, capsys):
     assert lifted.meta.target == 0 + 5 * 2 * 1
     assert main(["solve", str(out), "--variant", "exact"]) == 0
     assert "met: yes" in capsys.readouterr().out
+
+
+def test_gadget_lift_body_file_is_golden(tmp_path, capsys):
+    from shiftopt import ExplicitSystem, Instance
+
+    body = Instance(
+        ExplicitSystem(((1, 0, 1), (0, 1, 1), (1, 1, 0))),
+        2,
+        ((3, -1), (0, -2), (2, 2)),
+        Meta(target=4),
+    )
+    body_path = write_instance(tmp_path, body, "body.json")
+    out = tmp_path / "lifted.json"
+    assert main(["gadget", "lift-body", "--body", body_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "702a149658ae61369e50b31f985bf4c2322b43119eb69385a7991c4f5da9ee5d"
+    )

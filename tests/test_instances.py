@@ -2,8 +2,19 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import rand_closed_system, rand_cost, rand_binary, sco_value_full_tuple_enum
+from helpers import (
+    congestion_feasible_by_tuples,
+    costs,
+    generalized_value_by_tuples,
+    rand_binary,
+    rand_closed_system,
+    rand_cost,
+    sco_first_optimum_by_multisets,
+    sco_value_full_tuple_enum,
+)
 from shiftopt import (
     BipartiteMatchings,
     EnumerationBudgetExceeded,
@@ -129,6 +140,59 @@ def test_brute_force_generalized_linear_matches_sco():
         tables = tuple(tuple(t for t in range(n + 1)) for _ in range(d))
         ones = tuple((1,) * n for _ in range(d))
         assert brute_force_generalized(sys_, tables, n) == brute_force_sco(sys_, ones, n)[0]
+
+
+def bits(d: int):
+    return st.tuples(*[st.integers(0, 1)] * d)
+
+
+@st.composite
+def explicit_systems(draw, max_d: int = 4):
+    """Explicit systems in any list order, closed or not, d = 0 included."""
+    d = draw(st.integers(0, max_d))
+    members = draw(st.lists(bits(d), min_size=1, max_size=6, unique=True))
+    return ExplicitSystem(tuple(members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(explicit_systems(), st.integers(1, 3), st.data())
+def test_brute_force_sco_returns_the_first_optimal_multiset(sys_, n, data):
+    c = data.draw(costs(sys_.ground_size(), n))
+    assert brute_force_sco(sys_, c, n) == sco_first_optimum_by_multisets(sys_, c, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(explicit_systems(), st.integers(1, 3), st.data())
+def test_brute_force_generalized_matches_tuple_enumeration(sys_, n, data):
+    d = sys_.ground_size()
+    # arbitrary tables: not convex, negative entries allowed
+    table = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1).map(tuple)
+    tables = tuple(data.draw(st.lists(table, min_size=d, max_size=d)))
+    assert brute_force_generalized(sys_, tables, n) == generalized_value_by_tuples(
+        sys_, tables, n
+    )
+
+
+@st.composite
+def prescriptions(draw):
+    """Vector lists (duplicates allowed, possibly empty) and prescriptions."""
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 3))
+    vectors = draw(st.lists(bits(d), max_size=6))
+    sets = draw(st.lists(st.frozensets(st.integers(0, n), min_size=1), min_size=d, max_size=d))
+    return vectors, PrescribedCongestion(n, tuple(sets))
+
+
+@settings(max_examples=400, deadline=None)
+@given(prescriptions())
+@example(([], PrescribedCongestion(2, (frozenset({0}),))))
+@example(([], PrescribedCongestion(1, ())))
+@example(([()], PrescribedCongestion(3, ())))
+@example(([(1, 0), (1, 0)], PrescribedCongestion(2, (frozenset({2}), frozenset({0})))))
+@example(([(1, 1), (0, 1), (1, 1)], PrescribedCongestion(1, (frozenset({1}), frozenset({1})))))
+def test_congestion_feasible_matches_tuple_enumeration(instance):
+    vectors, pc = instance
+    assert congestion_feasible(vectors, pc) == congestion_feasible_by_tuples(vectors, pc)
 
 
 def test_budget_exceeded_is_an_error():

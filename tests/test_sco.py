@@ -31,6 +31,7 @@ from shiftopt import (
     constant_shifted,
     convex_identical,
     level_candidate,
+    lift_maximize,
     log_approx,
     matrix,
     potential_profit,
@@ -300,6 +301,25 @@ def test_ratio_bound_rejects_unknown():
         ratio_bound("nonsense", 2)
     with pytest.raises(ValueError):
         ratio_bound("general_log", 0)
+
+
+@pytest.mark.parametrize(
+    "solve, n_error",
+    [
+        (constant_shifted, "n must be >= 1"),
+        (log_approx, "n must be >= 1"),
+        (small_n_approx, "small-n algorithm supports n in"),
+        (lambda oracle, c, n: lift_maximize(oracle, n, c), "n must be >= 1"),
+    ],
+)
+def test_cost_shape_errors_in_order(solve, n_error):
+    sys_ = UniformMatroid(2, 1)
+    with pytest.raises(ValueError, match=n_error):
+        solve(sys_, ((0, 0, 0),), 0)
+    with pytest.raises(ValueError, match="^cost matrix has 3 columns, expected 2$"):
+        solve(sys_, ((0, 0, 0),), 2)
+    with pytest.raises(ValueError, match="^cost matrix has 1 rows, oracle ground size 2$"):
+        solve(sys_, ((0, 0),), 2)
 
 
 def test_shifted_constant_bound_stays_above_limit():
