@@ -44,8 +44,8 @@ from .instances import (
     random_instance,
     serialize,
 )
-from .oracles import BipartiteMatchings, ExplicitSystem, UniformMatroid, is_downward_closed
-from .sco import APPROX_VARIANTS, NotShiftedError, convex_identical
+from .oracles import BipartiteMatchings, ExplicitSystem, UniformMatroid
+from .sco import APPROX_VARIANTS, NotDownwardClosedError, NotShiftedError, convex_identical
 
 VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
@@ -120,14 +120,16 @@ def _cmd_solve(args) -> int:
             s, value = convex_identical(system, tables, n)
             solution = tuple((b,) * n for b in s)
         else:
-            if isinstance(system, ExplicitSystem) and not is_downward_closed(system.vectors):
-                raise ValueError(
-                    f"explicit system is not downward closed; the {args.variant} variant "
-                    "needs a downward-closed system (for a uniform-cardinality body, "
-                    "lift it with `gadget lift-body`)"
-                )
             res = APPROX_VARIANTS[args.variant][0](system, c, n)
             value, solution, bound, level = res.value, res.solution, res.bound, res.level
+    except NotDownwardClosedError:
+        print(
+            f"validation error: explicit system is not downward closed; the {args.variant} "
+            "variant needs a downward-closed system (for a uniform-cardinality body, "
+            "lift it with `gadget lift-body`)",
+            file=sys.stderr,
+        )
+        return 2
     except NotShiftedError as exc:
         print(
             f"validation error: cost matrix is not shifted, row {exc.row + 1} increases",

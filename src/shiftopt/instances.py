@@ -88,14 +88,20 @@ class PrescribedCongestion:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        sets = tuple(frozenset(int(v) for v in s) for s in self.sets)
+        # Gadgets repeat a few sets many times, so each distinct set is
+        # converted and checked once.
+        keys = list(map(frozenset, self.sets))
+        converted = {key: frozenset(map(int, key)) for key in dict.fromkeys(keys)}
+        sets = tuple(map(converted.__getitem__, keys))
         object.__setattr__(self, "sets", sets)
-        for i, s in enumerate(sets):
+        # Keys come in order of first occurrence, so the first bad key names
+        # the first bad element.
+        for key, s in converted.items():
             if not s:
-                raise ValueError(f"congestion set for element {i + 1} is empty")
+                raise ValueError(f"congestion set for element {keys.index(key) + 1} is empty")
             if any(v < 0 or v > self.n for v in s):
                 raise ValueError(
-                    f"congestion set for element {i + 1} must lie in 0..{self.n}"
+                    f"congestion set for element {keys.index(key) + 1} must lie in 0..{self.n}"
                 )
 
 
@@ -719,6 +725,7 @@ def _parse_int_pairs(raw, path: str, what: str) -> list[tuple[int, int]]:
 
 # Maps the characters "0" and "1" of a vector string to the values 0 and 1.
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_INT_TYPE = frozenset({int})
 
 
 def _parse_system(obj, path: str) -> SystemSpec:
@@ -734,7 +741,7 @@ def _parse_system(obj, path: str) -> SystemSpec:
                     raise InstanceFormatError(
                         f"{path}.vectors[{i}]: expected a string of 0/1 characters"
                     )
-                vectors.append(tuple(s.encode().translate(_BIT_VALUES)))
+                vectors.append(s.encode().translate(_BIT_VALUES))
             closed = _want(obj, path, "downward_closed", (bool,), required=False)
             return ExplicitSystem(tuple(vectors), bool(closed))
         if kind == "uniform":
@@ -794,9 +801,8 @@ def parse(data: bytes | str) -> Instance:
     raw_c = _want(obj, "top level", "c", (list,))
     rows = []
     for i, row in enumerate(raw_c):
-        if not isinstance(row, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in row
-        ):
+        # JSON yields exact types, so a bool or float entry fails the type test.
+        if not isinstance(row, list) or not _INT_TYPE.issuperset(map(type, row)):
             raise InstanceFormatError(f"c[{i}]: expected a list of integers")
         rows.append(tuple(row))
     meta = None

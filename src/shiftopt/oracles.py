@@ -42,7 +42,7 @@ class IndependenceOracle:
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _bytes(v: tuple) -> bytes:
+def _bytes(v: tuple | bytes) -> bytes:
     """The entries of v as bytes, or b"\\x02" if one lies outside 0..255.
     Entries that are not ints (1.0, "1") go through int() first."""
     try:
@@ -57,19 +57,19 @@ def _bytes(v: tuple) -> bytes:
 def _bitmasks(vectors: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], list[int]]:
     """Canonical int tuples of the vectors and one bitmask per vector
     (bit i = element i); raises ValueError on unequal lengths or entries
-    other than 0/1."""
-    vecs: list[Vector] = []
-    masks = []
+    other than 0/1.  A bytes vector is read as its byte values."""
+    raws: list[bytes] = []
     for v in vectors:
-        v = tuple(v)
-        if vecs and len(v) != len(vecs[0]):
+        if type(v) is not bytes:
+            v = tuple(v)
+        if raws and len(v) != len(raws[0]):
             raise ValueError("explicit system vectors of unequal length")
         raw = _bytes(v)
         if raw.strip(b"\x00\x01"):
             raise ValueError("explicit system vectors must be 0/1")
-        vecs.append(tuple(raw))
-        masks.append(int(raw.translate(_DIGITS)[::-1] or b"0", 2))
-    return tuple(vecs), masks
+        raws.append(raw)
+    masks = [int(raw.translate(_DIGITS)[::-1] or b"0", 2) for raw in raws]
+    return tuple(map(tuple, raws)), masks
 
 
 def _closed(members: set[int] | frozenset[int]) -> bool:
@@ -117,7 +117,9 @@ class ExplicitSystem(IndependenceOracle):
 
     With downward_closed=True the constructor verifies closure (hence the
     zero vector is present).  Ties in maximize break by list order, so the
-    stored order is significant and preserved by serialization.
+    stored order is significant and preserved by serialization.  A vector
+    may be given as a sequence of 0/1 entries or as bytes of 0/1 values;
+    it is stored as a tuple of ints.
 
     The constructor builds a prefix tree of the member supports: a node is
     a member's bitmask or a prefix of one, and its parent is the same mask
@@ -231,6 +233,8 @@ class PartitionMatroid(IndependenceOracle):
     blocks: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self) -> None:
+        if self.d < 0:
+            raise ValueError("d must be nonnegative")
         blocks = tuple(
             (tuple(sorted(int(e) for e in elems)), int(cap))
             for elems, cap in self.blocks
@@ -300,6 +304,8 @@ class GraphicMatroid(IndependenceOracle):
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.num_vertices < 0:
+            raise ValueError("vertex count must be nonnegative")
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
         for u, v in edges:

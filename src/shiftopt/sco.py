@@ -10,10 +10,15 @@ Three algorithms are provided, all deterministic:
   over the n-lift of S, kept as one congestion counter per element (at most
   n oracle calls), gives ratio 1 - (1 - 1/n)^n >= 1 - 1/e.
 * log_approx -- for arbitrary costs; one duplication level per power of two
-  up to n, each level solving a DUP instance, expanding, and cleaning; the
-  best level is within ratio beta / (4 ceil(log2 n) + 8) of the optimum.
+  up to n, each level solving a DUP instance, expanding, and cleaning (the
+  cleaned level is read off the round that first covered each element and
+  its best prefix length); the best level is within ratio
+  beta / (4 ceil(log2 n) + 8) of the optimum.
 * small_n_approx -- sharper level sets for n in {2, 3, 4} with proven
   ratios 3/5, 19/42 and 2625/6692.
+
+All three need a downward-closed system and raise NotDownwardClosedError on
+an explicit system that is not.
 
 convex_identical handles the separable-convex generalization, where one
 oracle call is exact because some optimal solution repeats a single column.
@@ -24,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
 
 from .core import (
     Matrix,
@@ -32,11 +38,9 @@ from .core import (
     congestion,
     dims,
     first_unshifted_row,
-    from_columns,
-    shifted_value,
 )
 from .dup import GREEDY_DUP, DupSolver, greedy_dup, greedy_ratio
-from .oracles import IndependenceOracle
+from .oracles import ExplicitSystem, IndependenceOracle, is_downward_closed
 
 
 class NotShiftedError(ValueError):
@@ -45,6 +49,28 @@ class NotShiftedError(ValueError):
     def __init__(self, row: int) -> None:
         self.row = row
         super().__init__(f"cost matrix is not shifted: row {row + 1} increases")
+
+
+class NotDownwardClosedError(ValueError):
+    """Raised when an algorithm that needs a downward-closed system gets an
+    explicit system that is not downward closed."""
+
+    def __init__(self, algorithm: str) -> None:
+        super().__init__(
+            f"explicit system is not downward closed; {algorithm} needs a "
+            "downward-closed system"
+        )
+
+
+def _require_closed(oracle: IndependenceOracle, algorithm: str) -> None:
+    # Only explicit systems can fail closure; one flagged closed was checked
+    # by its constructor, so only an unflagged one is checked here.
+    if (
+        isinstance(oracle, ExplicitSystem)
+        and not oracle.downward_closed
+        and not is_downward_closed(oracle.vectors)
+    ):
+        raise NotDownwardClosedError(algorithm)
 
 
 @dataclass(frozen=True)
@@ -126,18 +152,17 @@ def clean(c: Matrix, x: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _level_weights(c: Matrix, copies: int) -> list[int]:
-    # Best profit from an element covered at most `copies` times (>= 0:
-    # zero coverage is allowed, so the greedy never sees negative weights).
-    w = []
+def _level_weights(c: Matrix, copies: int) -> tuple[list[int], list[int]]:
+    # Per element: the best profit from at most `copies` uses (>= 0: zero
+    # uses are allowed, so the greedy never sees negative weights) and the
+    # smallest number of uses that reaches it.
+    w, keep = [], []
     for row in c:
-        best, run = 0, 0
-        for q in range(copies):
-            run += row[q]
-            if run > best:
-                best = run
+        sums = list(accumulate(row[:copies], initial=0))
+        best = max(sums)
         w.append(best)
-    return w
+        keep.append(sums.index(best))
+    return w, keep
 
 
 def level_candidate(
@@ -152,21 +177,33 @@ def level_candidate(
     column into `copies` duplicates, pad with zero columns to width n, then
     clean.  Returns the cleaned solution and its objective value.
 
+    The DUP columns are disjoint, so the cleaned matrix is fixed by the
+    round r that first covered each element and the element's kept length
+    p (its smallest best prefix within `copies` uses): the row of a covered
+    element has ones in columns r*copies .. r*copies+p-1, every other row
+    is zero, and the value is the sum of the level weights of the covered
+    elements.  This is the matrix and value that expanding, padding,
+    clean() and shifted_value() give, built without them.
+
     Levels with k = 1 are solved exactly with a single oracle call (the
     greedy with one round is exact), regardless of the configured solver.
     """
-    d = oracle.ground_size()
     if not (k >= 1 and copies >= 1 and k * copies <= n):
         raise ValueError(f"invalid level: k={k}, copies={copies}, n={n}")
-    w = _level_weights(c, copies)
+    check_cost_shape(c, n, oracle.ground_size())
+    w, keep = _level_weights(c, copies)
     sel = greedy_dup(oracle, 1, w) if k == 1 else solver.solve(oracle, k, w)
-    cols: list[Vector] = []
-    for col in sel.columns:
-        cols.extend([col] * copies)
-    zero = (0,) * d
-    cols.extend([zero] * (n - len(cols)))
-    cleaned = clean(c, from_columns(cols))
-    return cleaned, shifted_value(c, cleaned)
+    zero = (0,) * n
+    rows = [zero] * len(c)
+    value = 0
+    for r, col in enumerate(sel.columns):
+        start = r * copies
+        for i in compress(range(len(col)), col):
+            value += w[i]
+            p = keep[i]
+            if p:
+                rows[i] = zero[:start] + (1,) * p + zero[start + p:]
+    return tuple(rows), value
 
 
 def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:
@@ -181,7 +218,10 @@ def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxRes
     element with a real cell gets a 1 in output column r.  Rounds stop at
     the first all-zero answer, so at most n oracle calls are made.  The
     value is at least 1 - (1 - 1/n)^n >= 1 - 1/e times the optimum.
+    Raises NotDownwardClosedError on an explicit system that is not
+    downward closed.
     """
+    _require_closed(oracle, "constant_shifted")
     check_cost_shape(c, n, oracle.ground_size())
     bad = first_unshifted_row(c)
     if bad is not None:
@@ -218,8 +258,10 @@ def log_approx(
     columns (k = 1 past log2 n) and expands each into min(2^l, n) copies;
     weights give each element its best profit from at most that many
     copies.  The best cleaned level is returned with ratio
-    solver.ratio(n) / (4 ceil(log2 n) + 8).
+    solver.ratio(n) / (4 ceil(log2 n) + 8).  Raises NotDownwardClosedError
+    on an explicit system that is not downward closed.
     """
+    _require_closed(oracle, "log_approx")
     check_cost_shape(c, n, oracle.ground_size())
     top = ceil_log2(n)
     best: tuple[Matrix, int, int] | None = None
@@ -269,8 +311,10 @@ def small_n_approx(
 
     n=2 runs levels (k=2, 1 copy) and (k=1, 2 copies); n=3 runs (3, 1) and
     (1, 3), duplicating the single column three times; n=4 runs (4, 1),
-    (2, 2) and (1, 4).  k=1 levels are exact single oracle calls.
+    (2, 2) and (1, 4).  k=1 levels are exact single oracle calls.  Raises
+    NotDownwardClosedError on an explicit system that is not downward closed.
     """
+    _require_closed(oracle, "small_n_approx")
     if n not in _SMALL_N_LEVELS:
         raise ValueError(f"small-n algorithm supports n in {{2,3,4}}, got {n}")
     check_cost_shape(c, n, oracle.ground_size())

@@ -295,6 +295,30 @@ def constant_shifted_by_lift(oracle, c, n: int):
     return ApproxResult(y, shifted_value(c, y), None, greedy_ratio(n))
 
 
+def level_candidate_by_cleaning(oracle, c, n: int, k: int, copies: int):
+    """Reference duplication level: solve DUP with k columns (the greedy),
+    repeat each column `copies` times, pad with zero columns to width n,
+    clean, and evaluate the cleaned matrix."""
+    from shiftopt import clean, from_columns, greedy_dup, shifted_value
+
+    d = oracle.ground_size()
+    if not (k >= 1 and copies >= 1 and k * copies <= n):
+        raise ValueError(f"invalid level: k={k}, copies={copies}, n={n}")
+    w = []
+    for row in c:
+        best, run = 0, 0
+        for q in range(copies):
+            run += row[q]
+            best = max(best, run)
+        w.append(best)
+    cols = []
+    for col in greedy_dup(oracle, k, w).columns:
+        cols.extend([col] * copies)
+    cols.extend([(0,) * d] * (n - len(cols)))
+    cleaned = clean(c, from_columns(cols))
+    return cleaned, shifted_value(c, cleaned)
+
+
 SYSTEM_KINDS = ("uniform", "partition", "graphic", "bipartite", "closed", "explicit")
 
 

@@ -25,6 +25,7 @@ from helpers import (
 )
 from shiftopt import (
     ExplicitSystem,
+    NotDownwardClosedError,
     PrescribedCongestion,
     bipartite_to_graph,
     body_to_system,
@@ -41,6 +42,7 @@ from shiftopt import (
     greedy_dup,
     greedy_ratio,
     hexagon_gadget,
+    is_downward_closed,
     lift_maximize,
     log_approx,
     perfect_matchings,
@@ -277,3 +279,29 @@ def test_criterion_10_bench_csv_golden(tmp_path):
     ]
     assert cli_main(args) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITERION_10_CSV_SHA256
+
+
+def test_criterion_11_non_closed_systems_never_yield_infeasible_output():
+    with criterion("11 non-closed systems rejected", 30.0):
+        rng = random.Random(111)
+        rejected = 0
+        for trial in range(3000):
+            d, n = rng.randint(2, 5), trial % 3 + 2
+            sys_ = rand_arbitrary_system(rng, d, 6)
+            c = rand_cost(rng, d, n)
+            closed = is_downward_closed(sys_.vectors)
+            for solve, costs in (
+                (constant_shifted, tuple(tuple(sorted(r, reverse=True)) for r in c)),
+                (log_approx, c),
+                (small_n_approx, c),
+            ):
+                if not closed:
+                    try:
+                        solve(sys_, costs, n)
+                    except NotDownwardClosedError:
+                        rejected += 1
+                        continue
+                    raise AssertionError(f"{solve.__name__} ran on a non-closed system")
+                res = solve(sys_, costs, n)
+                assert all(sys_.contains(col) for col in zip(*res.solution))
+        assert rejected > 1000

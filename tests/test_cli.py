@@ -113,6 +113,21 @@ def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+def test_solve_negative_system_sizes_are_parse_errors(tmp_path, capsys):
+    systems = {
+        "partition": ('{"kind": "partition", "d": -1, "blocks": []}', "d must be nonnegative"),
+        "graphic": ('{"kind": "graphic", "vertices": -3, "edges": []}',
+                    "vertex count must be nonnegative"),
+    }
+    for kind, (system, message) in systems.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text('{"version": 1, "n": 1, "c": [], "system": %s}' % system)
+        assert main(["solve", str(path), "--variant", "shifted"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: system: {message}\n"
+
+
 def run_bench(tmp_path, name, extra=()):
     out = tmp_path / name
     args = [

@@ -473,6 +473,41 @@ def test_parse_reports_positions():
     assert "c[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("entry", ["true", "false", "1.0", "2.5", "null", '"3"', "[1]"])
+def test_parse_rejects_cost_entries_that_are_not_integers(entry):
+    doc = (
+        '{"version": 1, "n": 2, "c": [[1, 2], [3, %s]],'
+        ' "system": {"kind": "uniform", "d": 2, "rank": 1}}' % entry
+    )
+    with pytest.raises(InstanceFormatError, match=r"^c\[1\]: expected a list of integers$"):
+        parse(doc.encode())
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        ('{"kind": "partition", "d": -1, "blocks": []}', "system: d must be nonnegative"),
+        ('{"kind": "graphic", "vertices": -3, "edges": []}',
+         "system: vertex count must be nonnegative"),
+    ],
+)
+def test_parse_rejects_negative_sizes(system, message):
+    doc = '{"version": 1, "n": 1, "c": [], "system": %s}' % system
+    with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        parse(doc.encode())
+
+
+def test_prescribed_congestion_reports_the_first_bad_element():
+    ok, empty, high = frozenset({0, 1}), frozenset(), frozenset({3})
+    with pytest.raises(ValueError, match="^congestion set for element 3 is empty$"):
+        PrescribedCongestion(2, (ok, ok, empty, high, empty))
+    with pytest.raises(ValueError, match="^congestion set for element 2 must lie in 0..2$"):
+        PrescribedCongestion(2, (ok, high, ok, empty))
+    # equal sets given in other forms are converted to equal frozensets of ints
+    pc = PrescribedCongestion(2, (ok, {1, 0}, [True, 0.0], "01"))
+    assert pc.sets == (ok,) * 4 and all(type(v) is int for s in pc.sets for v in s)
+
+
 def test_parse_rejects_bytes_that_are_not_utf8():
     with pytest.raises(InstanceFormatError, match="byte 0: not valid UTF-8"):
         parse(b"\xff")

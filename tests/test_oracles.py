@@ -171,6 +171,30 @@ def test_explicit_constructor_accepts_and_rejects_as_reference(vectors, closed):
         assert str(exc.value) == err
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from((0, 1, 0, 1, 2)), min_size=2, max_size=3), max_size=6),
+    st.booleans(),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_explicit_system_from_bytes_equals_from_tuples(vectors, closed, w):
+    from_tuples = tuple(map(tuple, vectors))
+    from_bytes = tuple(map(bytes, vectors))
+    err = explicit_constructor_error(from_tuples, closed)
+    if err is not None:
+        for given_vectors in (from_tuples, from_bytes):
+            with pytest.raises(ValueError) as exc:
+                ExplicitSystem(given_vectors, closed)
+            assert str(exc.value) == err
+        return
+    a, b = ExplicitSystem(from_tuples, closed), ExplicitSystem(from_bytes, closed)
+    assert a == b and b.vectors == from_tuples
+    assert all(type(v) is tuple for v in b.vectors)
+    d = a.ground_size()
+    assert a.maximize(w[:d]) == b.maximize(w[:d])
+    assert all(b.contains(v) for v in from_tuples)
+
+
 def test_explicit_constructor_contract():
     rejected = {
         ((0, 1), (1,)): "unequal length",

@@ -13,6 +13,7 @@ from helpers import (
     costs,
     disjoint_union_of_lift,
     equivalents_of_power,
+    level_candidate_by_cleaning,
     rand_closed_system,
     rand_binary,
     rand_convex_tables,
@@ -22,6 +23,7 @@ from helpers import (
 from shiftopt import (
     ApproxResult,
     ExplicitSystem,
+    NotDownwardClosedError,
     NotShiftedError,
     UniformMatroid,
     brute_force_generalized,
@@ -30,6 +32,7 @@ from shiftopt import (
     clean,
     constant_shifted,
     convex_identical,
+    is_downward_closed,
     level_candidate,
     lift_maximize,
     log_approx,
@@ -162,6 +165,10 @@ def shifted_instances(draw):
 _NONCLOSED = ExplicitSystem(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
 
 
+def not_closed(sys_) -> bool:
+    return isinstance(sys_, ExplicitSystem) and not is_downward_closed(sys_.vectors)
+
+
 @settings(max_examples=600, deadline=None)
 @given(shifted_instances())
 @example((ExplicitSystem(((),), downward_closed=True), (), 1))
@@ -173,6 +180,10 @@ _NONCLOSED = ExplicitSystem(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
 @example((UniformMatroid(3, 2), ((0, 0), (-1, -4), (5, 0)), 2))
 def test_constant_shifted_matches_lift_reference(instance):
     sys_, c, n = instance
+    if not_closed(sys_):
+        with pytest.raises(NotDownwardClosedError):
+            constant_shifted(sys_, c, n)
+        return
     assert constant_shifted(sys_, c, n) == constant_shifted_by_lift(sys_, c, n)
 
 
@@ -236,6 +247,56 @@ def test_log_approx_ratio_on_random_instances():
         opt, _ = brute_force_sco(sys_, c, n)
         assert meets(res.value, res.bound, opt)
         assert res.value == shifted_value(c, res.solution)
+
+
+@st.composite
+def levels(draw):
+    """A system of any kind (explicit ones need not be closed), costs from
+    -4 to 4 (many zero), and a level (k, copies) with k * copies <= n."""
+    sys_ = draw(systems())
+    n = draw(st.integers(1, 6))
+    copies = draw(st.integers(1, n))
+    k = draw(st.integers(1, n // copies))
+    return sys_, draw(costs(sys_.ground_size(), n, -4, 4)), n, k, copies
+
+
+@settings(max_examples=800, deadline=None)
+@given(levels())
+@example((ExplicitSystem(((),)), (), 3, 1, 2))
+@example((UniformMatroid(2, 1), ((3,), (-1,)), 1, 1, 1))
+@example((_NONCLOSED, ((0, 0, 0), (0, 0, -1), (-1, 2, 3)), 3, 1, 2))
+@example((_NONCLOSED, ((0, 5, 0, 0), (-1, 0, 1, 0), (2, -3, 0, 0)), 4, 2, 1))
+@example((ExplicitSystem(((1, 0), (0, 1), (1, 1))), ((0, 0, 0, 0, 0), (-2, 1, 1, 0, 0)), 5, 2, 2))
+def test_level_candidate_matches_expand_and_clean(level):
+    sys_, c, n, k, copies = level
+    assert level_candidate(sys_, c, n, k, copies) == level_candidate_by_cleaning(
+        sys_, c, n, k, copies
+    )
+
+
+def test_level_candidate_keeps_weight_zero_selections_empty():
+    # the explicit system can only select element 1 together with element 2,
+    # whose best prefix within two copies is empty
+    sys_ = ExplicitSystem(((0, 0), (1, 1)))
+    sol, value = level_candidate(sys_, ((4, 1, 0), (-1, -1, 0)), 3, 1, 2)
+    assert sol == ((1, 1, 0), (0, 0, 0))
+    assert value == 5
+
+
+@pytest.mark.parametrize(
+    "solve, n",
+    [(constant_shifted, 2), (log_approx, 3), (small_n_approx, 2), (small_n_approx, 5)],
+)
+def test_approximations_reject_non_closed_explicit_systems(solve, n):
+    c = ((0,) * n,) * 3
+    with pytest.raises(NotDownwardClosedError, match="not downward closed"):
+        solve(_NONCLOSED, c, n)
+    # the closure check comes first; the downward closure of the same
+    # vectors is accepted, flagged or not
+    closed = ExplicitSystem.closed(_NONCLOSED.vectors)
+    if n <= 4:
+        solve(closed, c, n)
+        solve(ExplicitSystem(closed.vectors), c, n)
 
 
 # --- small-n variants
