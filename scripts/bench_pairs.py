@@ -4,18 +4,22 @@
 Usage, from the repository root:
 
     python3 scripts/bench_pairs.py --workloads levels-general --pairs 10 \
-        --first-seed 21 --seconds 40 --out BENCH_N.json
+        --first-seed 21 --out BENCH_N.json
 
 The parent commit (default HEAD) is exported with `git archive`, and the
 working tree's files that git tracks or would track are copied, each into
 a fresh temporary directory, so both sides run from new directories and
 no worktree is registered.  Each pair runs `perfbench/run.py` once on each
-side with the same seed, the side that goes first alternating from pair to
-pair, because the host's speed drifts with run order.  The output JSON
-holds every run and, per workload and end-to-end metric, the medians and
-quartiles of both sides, the number of pairs the change won, whether the
-median gap exceeds the parent's interquartile range, and the change's
-relative worsening against the metric's bound from BENCHMARK.json.
+side with the same seed for BENCHMARK.json's `run_seconds`, the side that
+goes first alternating from pair to pair, because the host's speed drifts
+with run order.  The output JSON holds every run and, per workload and
+end-to-end metric, the medians and quartiles of both sides, the number of
+pairs the change won, whether the median moved in the metric's better
+direction by more than the parent's interquartile range, the change's
+relative worsening against the metric's bound from BENCHMARK.json, and
+whether the comparison is unresolved: a side's interquartile range over
+its median exceeds the bound and not every change run reads better than
+every parent run.
 Digests are compared per seed.  The file is rewritten after every pair,
 so an interrupted series keeps the pairs it finished.
 """
@@ -111,7 +115,10 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             pq1, pmed, pq3 = quartiles(parent)
             cq1, cmed, cq3 = quartiles(change)
             wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+            gain = (cmed - pmed) if higher else (pmed - cmed)
             worse_by = (1 - cmed / pmed) if higher else (cmed / pmed - 1)
+            spread = max((pq3 - pq1) / pmed, (cq3 - cq1) / cmed)
+            separated = min(change) > max(parent) if higher else max(change) < min(parent)
             entry[name] = {
                 "parent_median": pmed,
                 "parent_q1": pq1,
@@ -121,9 +128,11 @@ def summarize(runs: list[dict], spec: dict) -> dict:
                 "change_q3": cq3,
                 "change_over_parent": cmed / pmed,
                 "change_better_in_pairs": f"{wins} of {len(pairs)}",
-                "median_gap_exceeds_parent_iqr": abs(cmed - pmed) > pq3 - pq1,
+                "median_gain_exceeds_parent_iqr": gain > pq3 - pq1,
                 "change_worse_by": worse_by,
                 "within_bound": worse_by <= metric["bound"],
+                "relative_spread": spread,
+                "unresolved": spread > metric["bound"] and not separated,
             }
         summary[workload] = entry
     return summary
@@ -134,13 +143,13 @@ def main() -> int:
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
-    if args.pairs < 1 or args.seconds <= 0:
-        ap.error("--pairs must be >= 1 and --seconds positive")
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     commit = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, check=True,
         capture_output=True, text=True,
@@ -152,7 +161,7 @@ def main() -> int:
         "machine": {"os": f"{platform.system()} {platform.machine()}",
                     "python": platform.python_version()},
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
     }
     runs: list[dict] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -166,7 +175,7 @@ def main() -> int:
                 seed = args.first_seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    run = run_once(trees[side], workload, seed, args.seconds)
+                    run = run_once(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "seed": seed, "side": side,
                                  "first": order[0], **run})
                     print(f"{workload} seed {seed} {side}: ops_per_s "

@@ -89,20 +89,19 @@ class PrescribedCongestion:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         # Gadgets repeat a few sets many times, so each distinct set is
-        # converted and checked once.
-        keys = list(map(frozenset, self.sets))
-        converted = {key: frozenset(map(int, key)) for key in dict.fromkeys(keys)}
-        sets = tuple(map(converted.__getitem__, keys))
-        object.__setattr__(self, "sets", sets)
-        # Keys come in order of first occurrence, so the first bad key names
-        # the first bad element.
-        for key, s in converted.items():
-            if not s:
-                raise ValueError(f"congestion set for element {keys.index(key) + 1} is empty")
-            if any(v < 0 or v > self.n for v in s):
-                raise ValueError(
-                    f"congestion set for element {keys.index(key) + 1} must lie in 0..{self.n}"
-                )
+        # converted and checked once, at its first element.
+        converted: dict[frozenset, frozenset[int]] = {}
+        sets = []
+        for i, key in enumerate(map(frozenset, self.sets), 1):
+            s = converted.get(key)
+            if s is None:
+                s = converted[key] = frozenset(map(int, key))
+                if not s:
+                    raise ValueError(f"congestion set for element {i} is empty")
+                if any(v < 0 or v > self.n for v in s):
+                    raise ValueError(f"congestion set for element {i} must lie in 0..{self.n}")
+            sets.append(s)
+        object.__setattr__(self, "sets", tuple(sets))
 
 
 CostTables = tuple[tuple[int, ...], ...]

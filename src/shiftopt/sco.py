@@ -178,12 +178,13 @@ def level_candidate(
     clean.  Returns the cleaned solution and its objective value.
 
     The DUP columns are disjoint, so the cleaned matrix is fixed by the
-    round r that first covered each element and the element's kept length
-    p (its smallest best prefix within `copies` uses): the row of a covered
+    column r that holds each element and the element's kept length p (its
+    smallest best prefix within `copies` uses): the row of a covered
     element has ones in columns r*copies .. r*copies+p-1, every other row
-    is zero, and the value is the sum of the level weights of the covered
-    elements.  This is the matrix and value that expanding, padding,
-    clean() and shifted_value() give, built without them.
+    is zero, and the value is the DUP value, the sum of the level weights
+    of the covered elements.  This is the matrix and value that expanding,
+    padding, clean() and shifted_value() give, built without them.  A
+    solver whose columns share an element raises ValueError.
 
     Levels with k = 1 are solved exactly with a single oracle call (the
     greedy with one round is exact), regardless of the configured solver.
@@ -194,16 +195,15 @@ def level_candidate(
     w, keep = _level_weights(c, copies)
     sel = greedy_dup(oracle, 1, w) if k == 1 else solver.solve(oracle, k, w)
     zero = (0,) * n
-    rows = [zero] * len(c)
-    value = 0
+    rows: list[Vector | None] = [None] * len(c)
     for r, col in enumerate(sel.columns):
         start = r * copies
         for i in compress(range(len(col)), col):
-            value += w[i]
+            if rows[i] is not None:
+                raise ValueError(f"DUP columns share element {i + 1}")
             p = keep[i]
-            if p:
-                rows[i] = zero[:start] + (1,) * p + zero[start + p:]
-    return tuple(rows), value
+            rows[i] = zero[:start] + (1,) * p + zero[start + p:] if p else zero
+    return tuple(zero if row is None else row for row in rows), sel.value
 
 
 def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:

@@ -22,9 +22,11 @@ from helpers import (
 )
 from shiftopt import (
     ApproxResult,
+    DupSolver,
     ExplicitSystem,
     NotDownwardClosedError,
     NotShiftedError,
+    OrthogonalSelection,
     UniformMatroid,
     brute_force_generalized,
     brute_force_sco,
@@ -32,6 +34,7 @@ from shiftopt import (
     clean,
     constant_shifted,
     convex_identical,
+    greedy_ratio,
     is_downward_closed,
     level_candidate,
     lift_maximize,
@@ -281,6 +284,20 @@ def test_level_candidate_keeps_weight_zero_selections_empty():
     sol, value = level_candidate(sys_, ((4, 1, 0), (-1, -1, 0)), 3, 1, 2)
     assert sol == ((1, 1, 0), (0, 0, 0))
     assert value == 5
+
+
+def test_level_candidate_with_a_plugged_in_solver():
+    sys_ = UniformMatroid(3, 3)
+    c = ((2, 1, 0, 0), (3, 0, 0, 0), (1, -1, 0, 0))
+
+    def solver(columns, value):
+        return DupSolver(lambda oracle, k, w: OrthogonalSelection(columns, value), greedy_ratio)
+
+    sol, value = level_candidate(sys_, c, 4, 2, 2, solver(((1, 0, 1), (0, 1, 0)), 7))
+    assert sol == ((1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))
+    assert value == 7
+    with pytest.raises(ValueError, match="^DUP columns share element 1$"):
+        level_candidate(sys_, c, 4, 2, 2, solver(((1, 0, 0), (1, 1, 0)), 6))
 
 
 @pytest.mark.parametrize(
