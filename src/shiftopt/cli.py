@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -50,65 +51,28 @@ from .sco import APPROX_VARIANTS, NotDownwardClosedError, NotShiftedError, conve
 VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One bench trial under one algorithm variant."""
-
-    seed: int
-    d: int
-    n: int
-    set_size: int
-    variant: str
-    apx: int | None
-    opt: int | None
-    ratio: Fraction | None
-    bound: Fraction
-    skipped: bool = False
-
-    @property
-    def violated(self) -> bool:
-        if self.skipped or self.opt is None or self.apx is None or self.opt <= 0:
-            return False
-        return self.apx * self.bound.denominator < self.bound.numerator * self.opt
-
-    def row(self) -> list[str]:
-        if self.skipped:
-            apx, opt, ratio = "", "", "skipped"
-        else:
-            apx, opt = str(self.apx), str(self.opt)
-            ratio = str(self.ratio) if self.ratio is not None else ""
-        return [
-            str(self.seed),
-            str(self.d),
-            str(self.n),
-            str(self.set_size),
-            self.variant,
-            apx,
-            opt,
-            ratio,
-            str(self.bound),
-            "true" if self.violated else "false",
-        ]
-
-
 def _print_solution(matrix_rows) -> None:
     print("solution:")
     for row in matrix_rows:
         print("".join(str(v) for v in row))
 
 
-def _cmd_solve(args) -> int:
+def _read_instance(path: str) -> Instance | None:
+    """Parse the instance file at path; on failure print why and return None."""
     try:
-        data = open(args.file, "rb").read()
+        with open(path, "rb") as fh:
+            return parse(fh.read())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        inst = parse(data)
     except InstanceFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    return None
 
+
+def _cmd_solve(args) -> int:
+    inst = _read_instance(args.file)
+    if inst is None:
+        return 1
     c, n, system = inst.c, inst.n, inst.system
     bound, level = Fraction(1), None
     try:
@@ -170,7 +134,10 @@ def _cmd_bench(args) -> int:
         print("validation error: --trials must be >= 1", file=sys.stderr)
         return 2
     variants = _bench_variants(args.n, args.shifted)
-    records: list[BenchRecord] = []
+    rows = []
+    min_ratio: dict[str, Fraction | None] = dict.fromkeys(variants)
+    violations = dict.fromkeys(variants, 0)
+    skipped = 0
     for trial in range(args.trials):
         inst_seed = args.seed + trial
         try:
@@ -185,35 +152,26 @@ def _cmd_bench(args) -> int:
         except ValueError as exc:
             print(f"validation error: {exc}", file=sys.stderr)
             return 2
-        base = dict(seed=inst_seed, d=args.d, n=args.n, set_size=args.set_size)
+        head = [inst_seed, args.d, args.n, args.set_size]
         try:
             opt, _ = brute_force_sco(inst.system, inst.c, inst.n, args.budget)
         except EnumerationBudgetExceeded:
+            skipped += 1
             for variant in variants:
-                records.append(
-                    BenchRecord(
-                        **base,
-                        variant=variant,
-                        apx=None,
-                        opt=None,
-                        ratio=None,
-                        bound=APPROX_VARIANTS[variant][1](inst.n),
-                        skipped=True,
-                    )
-                )
+                bound = APPROX_VARIANTS[variant][1](inst.n)
+                rows.append([*head, variant, "", "", "skipped", bound, "false"])
             continue
         for variant in variants:
             res = APPROX_VARIANTS[variant][0](inst.system, inst.c, inst.n)
-            ratio = Fraction(res.value, opt) if opt > 0 else None
-            records.append(
-                BenchRecord(
-                    **base,
-                    variant=variant,
-                    apx=res.value,
-                    opt=opt,
-                    ratio=ratio,
-                    bound=res.bound,
-                )
+            ratio, violated = "", False
+            if opt > 0:
+                ratio = Fraction(res.value, opt)
+                violated = ratio < res.bound
+                violations[variant] += violated
+                low = min_ratio[variant]
+                min_ratio[variant] = ratio if low is None else min(low, ratio)
+            rows.append(
+                [*head, variant, res.value, opt, ratio, res.bound, "true" if violated else "false"]
             )
 
     try:
@@ -222,76 +180,48 @@ def _cmd_bench(args) -> int:
             writer.writerow(
                 ["seed", "d", "n", "set_size", "variant", "apx", "opt", "ratio", "bound", "violated"]
             )
-            for rec in records:
-                writer.writerow(rec.row())
+            writer.writerows(rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    violations = 0
     for variant in variants:
-        ratios = [r.ratio for r in records if r.variant == variant and r.ratio is not None]
-        vio = sum(1 for r in records if r.variant == variant and r.violated)
-        skipped = sum(1 for r in records if r.variant == variant and r.skipped)
-        violations += vio
-        bound = next(r.bound for r in records if r.variant == variant)
-        min_ratio = f"{float(min(ratios)):.6f}" if ratios else "n/a"
+        low = min_ratio[variant]
+        shown = "n/a" if low is None else f"{float(low):.6f}"
+        bound = APPROX_VARIANTS[variant][1](args.n)
         print(
-            f"variant={variant} trials={args.trials} min_ratio={min_ratio} "
-            f"bound={float(bound):.6f} violations={vio} skipped={skipped}"
+            f"variant={variant} trials={args.trials} min_ratio={shown} "
+            f"bound={float(bound):.6f} violations={violations[variant]} skipped={skipped}"
         )
-    if violations:
-        print(f"bound violations detected: {violations}", file=sys.stderr)
+    total = sum(violations.values())
+    if total:
+        print(f"bound violations detected: {total}", file=sys.stderr)
         return 3
     return 0
 
 
-def _parse_edge_list(text: str) -> tuple[tuple[int, int], ...]:
-    edges = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        bits = part.split("-")
-        if len(bits) != 2:
-            raise ValueError(f"bad edge {part!r}; expected u-v")
-        edges.append((int(bits[0]) - 1, int(bits[1]) - 1))
-    if not edges:
-        raise ValueError("empty edge list")
-    return tuple(edges)
+def _split(text: str, sep: str, item: Callable[[str], object], what: str) -> tuple:
+    """Read each nonblank sep-separated part of text with item; at least one."""
+    out = tuple(item(part) for part in map(str.strip, text.split(sep)) if part)
+    if not out:
+        raise ValueError(f"empty {what}")
+    return out
 
 
-def _parse_family(text: str) -> tuple[tuple[int, ...], ...]:
-    sets = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        sets.append(tuple(int(v) - 1 for v in part.split(",")))
-    if not sets:
-        raise ValueError("empty set family")
-    return tuple(sets)
-
-
-def _parse_congestion_sets(text: str) -> tuple[frozenset[int], ...]:
-    sets = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        sets.append(frozenset(int(v) for v in part.split(",")))
-    if not sets:
-        raise ValueError("empty congestion set list")
-    return tuple(sets)
+def _edge(part: str) -> tuple[int, int]:
+    bits = part.split("-")
+    if len(bits) != 2:
+        raise ValueError(f"bad edge {part!r}; expected u-v")
+    return int(bits[0]) - 1, int(bits[1]) - 1
 
 
 def _cmd_gadget(args) -> int:
     try:
         if args.kind == "independent-set":
-            graph = Graph(args.vertices, _parse_edge_list(args.edges))
+            graph = Graph(args.vertices, _split(args.edges, ",", _edge, "edge list"))
             inst = independent_set_gadget(graph, args.n)
         elif args.kind == "coloring":
-            graph = Graph(args.vertices, _parse_edge_list(args.edges))
+            graph = Graph(args.vertices, _split(args.edges, ",", _edge, "edge list"))
             pc = coloring_gadget(graph)
             body = perfect_matchings(graph)
             if not body:
@@ -313,7 +243,9 @@ def _cmd_gadget(args) -> int:
                 ),
             )
         elif args.kind == "hexagon":
-            family = _parse_family(args.sets)
+            family = _split(
+                args.sets, ";", lambda p: tuple(int(v) - 1 for v in p.split(",")), "set family"
+            )
             bgraph, pc = hexagon_gadget(family, args.k)
             c, target_c = congestion_to_cost(pc)
             bump, b = bump_costs(c)
@@ -330,7 +262,10 @@ def _cmd_gadget(args) -> int:
                 ),
             )
         elif args.kind == "congestion":
-            pc = PrescribedCongestion(args.n, _parse_congestion_sets(args.sets))
+            sets = _split(
+                args.sets, ";", lambda p: frozenset(map(int, p.split(","))), "congestion set list"
+            )
+            pc = PrescribedCongestion(args.n, sets)
             c, target = congestion_to_cost(pc)
             d = len(pc.sets)
             rank = args.rank if args.rank is not None else d
@@ -345,13 +280,8 @@ def _cmd_gadget(args) -> int:
                 ),
             )
         else:  # lift-body
-            try:
-                body_inst = parse(open(args.body, "rb").read())
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            except InstanceFormatError as exc:
-                print(f"parse error: {exc}", file=sys.stderr)
+            body_inst = _read_instance(args.body)
+            if body_inst is None:
                 return 1
             if not isinstance(body_inst.system, ExplicitSystem):
                 raise ValueError("lift-body needs an instance with an explicit system")

@@ -44,6 +44,16 @@ def check_cost_shape(c: Matrix, n: int, ground_size: int) -> None:
         raise ValueError(f"cost matrix has {d} rows, oracle ground size {ground_size}")
 
 
+def check_value_tables(tables: Sequence[Sequence[int]], n: int, ground_size: int) -> None:
+    """Raise ValueError unless there is one table per element, each listing
+    the values at congestion 0..n."""
+    if len(tables) != ground_size:
+        raise ValueError(f"{len(tables)} value tables for ground size {ground_size}")
+    for i, t in enumerate(tables):
+        if len(t) != n + 1:
+            raise ValueError(f"value table for element {i + 1} must have {n + 1} entries")
+
+
 def from_columns(cols: Sequence[Sequence[int]]) -> Matrix:
     """Assemble a matrix from its columns (at least one column required)."""
     if not cols:

@@ -63,11 +63,10 @@ def greedy_dup(oracle: IndependenceOracle, k: int, w: Sequence[int]) -> Orthogon
     element with weight <= 0; an explicit system may, and such an element
     is then covered and its weight counted.
     """
-    d = oracle.ground_size()
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(w) != d:
-        raise ValueError(f"weight vector length {len(w)} != ground size {d}")
+    oracle._check_weights(w)
+    d = len(w)
     remaining = list(w)
     first = [-1] * d  # round that first covered each element, -1 if none
     for r in range(k):
@@ -87,13 +86,10 @@ def greedy_dup(oracle: IndependenceOracle, k: int, w: Sequence[int]) -> Orthogon
     return OrthogonalSelection(tuple(map(tuple, cols)), value)
 
 
+# Kept only because perfbench/tracing.py imports GREEDY_DUP; delete both with that import.
 @dataclass(frozen=True)
 class DupSolver:
-    """A DUP algorithm paired with its proven ratio as a function of k.
-
-    The shipped solver is the greedy above; an exact plug-in (ratio
-    constantly 1) can be substituted where available.
-    """
+    """A DUP algorithm paired with its proven ratio as a function of k."""
 
     solve: Callable[[IndependenceOracle, int, Sequence[int]], OrthogonalSelection]
     ratio: Callable[[int], Fraction]

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .core import Matrix, Vector, congestion, dims, from_columns, matrix
+from .core import (
+    Matrix,
+    Vector,
+    check_cost_shape,
+    check_value_tables,
+    congestion,
+    dims,
+    from_columns,
+    matrix,
+)
 from .dup import OrthogonalSelection
 from .oracles import (
     BipartiteGraph,
@@ -65,17 +74,9 @@ class Instance:
     meta: Meta | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         c = matrix(self.c)
+        check_cost_shape(c, self.n, self.system.ground_size())
         object.__setattr__(self, "c", c)
-        d, nc = dims(c)
-        if d != self.system.ground_size():
-            raise ValueError(
-                f"cost matrix has {d} rows, system ground size {self.system.ground_size()}"
-            )
-        if d > 0 and nc != self.n:
-            raise ValueError(f"cost matrix has {nc} columns, expected n={self.n}")
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,21 @@ def _best_multiset(
     members: Sequence[Vector],
     rows: Sequence[Sequence[int]],
     n: int,
+    budget: int,
+    what: str,
     ceiling: int | None = None,
 ) -> tuple[int | None, tuple[int, ...]]:
     """Best n-multiset of members when the q-th use of element i gains
     rows[i][q - 1]: its value and member indices, (0, ()) for n = 0, or
-    (None, ()) when there are no members.
+    (None, ()) when there are no members.  Raises EnumerationBudgetExceeded,
+    naming the search `what`, when there are more multisets than `budget`.
 
     Multisets are visited in list order with nondecreasing indices and only
     a strictly better value replaces the incumbent, so the first maximizer
     wins.  The search stops at the first value equal to `ceiling`, which the
     caller guarantees no multiset exceeds.
     """
+    _check_budget(comb(len(members) + n - 1, n), budget, what)
     if n == 0:
         return 0, ()
     supports = [tuple(i for i, b in enumerate(v) if b) for v in members]
@@ -175,13 +180,9 @@ def brute_force_sco(
     The witness is the first optimum in the enumeration order (members in
     list order, nondecreasing indices), so results are reproducible.
     """
-    d = system.ground_size()
-    dc, nc = dims(c)
-    if dc != d or (d > 0 and nc != n):
-        raise ValueError(f"cost matrix {dims(c)} does not match d={d}, n={n}")
+    check_cost_shape(c, n, system.ground_size())
     members = system.vectors
-    _check_budget(comb(len(members) + n - 1, n), budget, "shifted brute force")
-    best_val, best_pick = _best_multiset(members, c, n)
+    best_val, best_pick = _best_multiset(members, c, n, budget, "shifted brute force")
     assert best_val is not None
     witness = from_columns([members[i] for i in best_pick])
     return best_val, witness
@@ -191,11 +192,9 @@ def brute_force_dup(
     system: ExplicitSystem, k: int, w: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> tuple[int, OrthogonalSelection]:
     """Exact disjoint union optimum over k-multisets of members."""
-    d = system.ground_size()
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(w) != d:
-        raise ValueError(f"weight vector length {len(w)} != ground size {d}")
+    system._check_weights(w)
     members = system.vectors
     _check_budget(comb(len(members) + k - 1, k), budget, "disjoint union brute force")
     masks = [sum(1 << i for i, b in enumerate(v) if b) for v in members]
@@ -229,16 +228,9 @@ def brute_force_generalized(
     system: ExplicitSystem, tables: CostTables, n: int, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact optimum of sum_i f_i(congestion_i) over multisets of n members."""
-    d = system.ground_size()
-    if len(tables) != d:
-        raise ValueError(f"{len(tables)} value tables for ground size {d}")
-    for i, t in enumerate(tables):
-        if len(t) != n + 1:
-            raise ValueError(f"value table for element {i + 1} must have {n + 1} entries")
-    members = system.vectors
-    _check_budget(comb(len(members) + n - 1, n), budget, "generalized brute force")
+    check_value_tables(tables, n, system.ground_size())
     increments = [tuple(b - a for a, b in zip(t, t[1:])) for t in tables]
-    best, _ = _best_multiset(members, increments, n)
+    best, _ = _best_multiset(system.vectors, increments, n, budget, "generalized brute force")
     assert best is not None
     return best + sum(t[0] for t in tables)
 
@@ -253,9 +245,10 @@ def congestion_feasible(
     for v in vectors:
         if len(v) != d:
             raise ValueError("vector length does not match congestion sets")
-    _check_budget(comb(len(vectors) + pc.n - 1, pc.n), budget, "congestion feasibility")
     rows, target = congestion_to_cost(pc)
-    value, _ = _best_multiset(vectors, rows, pc.n, ceiling=target)
+    value, _ = _best_multiset(
+        vectors, rows, pc.n, budget, "congestion feasibility", ceiling=target
+    )
     return value == target
 
 
@@ -309,9 +302,8 @@ def body_to_system(T: ExplicitSystem, c: Matrix) -> tuple[ExplicitSystem, Matrix
     cards = {sum(v) for v in T.vectors}
     if len(cards) != 1:
         raise ValueError("body vectors must all have the same number of ones")
-    dc, _ = dims(c)
-    if dc != T.ground_size():
-        raise ValueError(f"cost matrix has {dc} rows, body ground size {T.ground_size()}")
+    # Costs of any width n >= 1 fit a body; only the rows must match it.
+    check_cost_shape(c, dims(c)[1] or 1, T.ground_size())
     return ExplicitSystem.closed(T.vectors), bump_costs(c)[1]
 
 
@@ -631,12 +623,10 @@ def explicit_members(system: SystemSpec, budget: int = DEFAULT_BUDGET) -> Explic
         return system
     if isinstance(system, BipartiteMatchings):
         vecs = all_matchings(bipartite_to_graph(system.graph), budget)
-        return ExplicitSystem(
-            tuple(sorted(vecs, key=lambda v: (sum(v), v))), downward_closed=True
-        )
-    d = system.ground_size()
-    _check_budget(2**d, budget, "membership enumeration")
-    vecs = tuple(v for v in product((0, 1), repeat=d) if system.contains(v))
+    else:
+        d = system.ground_size()
+        _check_budget(2**d, budget, "membership enumeration")
+        vecs = tuple(v for v in product((0, 1), repeat=d) if system.contains(v))
     return ExplicitSystem(
         tuple(sorted(vecs, key=lambda v: (sum(v), v))), downward_closed=True
     )
@@ -790,6 +780,10 @@ def parse(data: bytes | str) -> Instance:
         raise InstanceFormatError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InstanceFormatError("document nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter's digit limit
+        raise InstanceFormatError(str(exc)) from exc
     if not isinstance(obj, dict):
         raise InstanceFormatError("top level: expected an object")
     version = _want(obj, "top level", "version", (int,))

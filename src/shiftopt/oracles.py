@@ -359,6 +359,10 @@ class BipartiteGraph:
                 raise ValueError(f"edge ({l},{r}) outside vertex ranges")
 
 
+# Largest edge weight for which BipartiteMatchings.maximize is exact.
+_MAX_EXACT_WEIGHT = 2**51
+
+
 @dataclass(frozen=True)
 class BipartiteMatchings(IndependenceOracle):
     """Matchings of a bipartite graph.
@@ -366,6 +370,19 @@ class BipartiteMatchings(IndependenceOracle):
     maximize runs a Hungarian-style assignment (scipy linear_sum_assignment)
     on the subgraph of strictly positive edges; zero and negative edges are
     excluded, which is optimal because matchings are downward monotone.
+
+    The assignment solver computes in float64, so maximize raises
+    ValueError when a positive weight exceeds 2**51; up to that bound its
+    answer is exact.  The solver (shortest augmenting paths with dual
+    variables u, v) only adds, subtracts and compares the negated weights,
+    integers c in [-C, 0] with C the largest weight, and its duals.  Each
+    augmentation keeps c[i][j] - u[i] - v[j] >= 0 with equality on matched
+    pairs, and leaves v = 0 on unmatched columns and v <= 0 elsewhere.  At
+    the start of an augmentation some column is unmatched, so every dual
+    lies in [-C, 0]; within it every path length, intermediate sum and
+    updated dual lies in [-2C, 2C].  All are integers, and float64 holds
+    every integer of magnitude at most 2**53 exactly, so with 2C <= 2**53
+    no operation rounds and the result is the exact optimum.
     """
 
     graph: BipartiteGraph
@@ -400,6 +417,12 @@ class BipartiteMatchings(IndependenceOracle):
         s = [0] * d
         if not best:
             return tuple(s)
+        top = max(wt for wt, _ in best.values())
+        if top > _MAX_EXACT_WEIGHT:
+            raise ValueError(
+                f"bipartite matching weight {top} exceeds 2**51, the largest the "
+                "float64 assignment solver handles exactly"
+            )
         weights = np.zeros((g.left, g.right), dtype=np.int64)
         for (l, r), (wt, _) in best.items():
             weights[l, r] = wt

@@ -35,11 +35,12 @@ from .core import (
     Matrix,
     Vector,
     check_cost_shape,
+    check_value_tables,
     congestion,
     dims,
     first_unshifted_row,
 )
-from .dup import GREEDY_DUP, DupSolver, greedy_dup, greedy_ratio
+from .dup import greedy_dup, greedy_ratio
 from .oracles import ExplicitSystem, IndependenceOracle, is_downward_closed
 
 
@@ -171,7 +172,6 @@ def level_candidate(
     n: int,
     k: int,
     copies: int,
-    solver: DupSolver = GREEDY_DUP,
 ) -> tuple[Matrix, int]:
     """One duplication level: solve DUP with k columns, expand each returned
     column into `copies` duplicates, pad with zero columns to width n, then
@@ -183,17 +183,16 @@ def level_candidate(
     element has ones in columns r*copies .. r*copies+p-1, every other row
     is zero, and the value is the DUP value, the sum of the level weights
     of the covered elements.  This is the matrix and value that expanding,
-    padding, clean() and shifted_value() give, built without them.  A
-    solver whose columns share an element raises ValueError.
+    padding, clean() and shifted_value() give, built without them.  DUP
+    columns that share an element raise ValueError.
 
-    Levels with k = 1 are solved exactly with a single oracle call (the
-    greedy with one round is exact), regardless of the configured solver.
+    A level with k = 1 is one oracle call, which the greedy solves exactly.
     """
     if not (k >= 1 and copies >= 1 and k * copies <= n):
         raise ValueError(f"invalid level: k={k}, copies={copies}, n={n}")
     check_cost_shape(c, n, oracle.ground_size())
     w, keep = _level_weights(c, copies)
-    sel = greedy_dup(oracle, 1, w) if k == 1 else solver.solve(oracle, k, w)
+    sel = greedy_dup(oracle, k, w)
     zero = (0,) * n
     rows: list[Vector | None] = [None] * len(c)
     for r, col in enumerate(sel.columns):
@@ -246,33 +245,37 @@ def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxRes
     return ApproxResult(tuple(map(tuple, out)), value, None, greedy_ratio(n))
 
 
-def log_approx(
+def _best_level(
     oracle: IndependenceOracle,
     c: Matrix,
     n: int,
-    solver: DupSolver = GREEDY_DUP,
+    levels: Sequence[tuple[int, int]],
+    bound: Fraction,
 ) -> ApproxResult:
+    # Runs each (k, copies) level; the first level of largest value wins.
+    # The first level_candidate call checks the cost shape.
+    best: tuple[Matrix, int, int] | None = None
+    for level, (k, copies) in enumerate(levels):
+        sol, val = level_candidate(oracle, c, n, k, copies)
+        if best is None or val > best[1]:
+            best = (sol, val, level)
+    assert best is not None
+    return ApproxResult(best[0], best[1], best[2], bound)
+
+
+def log_approx(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:
     """Logarithmic-ratio algorithm for arbitrary costs.
 
     Level l (0 <= l <= ceil(log2 n)) solves DUP with k = floor(n / 2^l)
     columns (k = 1 past log2 n) and expands each into min(2^l, n) copies;
     weights give each element its best profit from at most that many
     copies.  The best cleaned level is returned with ratio
-    solver.ratio(n) / (4 ceil(log2 n) + 8).  Raises NotDownwardClosedError
+    greedy_ratio(n) / (4 ceil(log2 n) + 8).  Raises NotDownwardClosedError
     on an explicit system that is not downward closed.
     """
     _require_closed(oracle, "log_approx")
-    check_cost_shape(c, n, oracle.ground_size())
-    top = ceil_log2(n)
-    best: tuple[Matrix, int, int] | None = None
-    for level in range(top + 1):
-        pow2 = 1 << level
-        k = n // pow2 if pow2 <= n else 1
-        sol, val = level_candidate(oracle, c, n, k, min(pow2, n), solver)
-        if best is None or val > best[1]:
-            best = (sol, val, level)
-    assert best is not None
-    return ApproxResult(best[0], best[1], best[2], _log_bound(n, solver.ratio))
+    levels = [(max(n >> l, 1), min(1 << l, n)) for l in range(ceil_log2(n) + 1)]
+    return _best_level(oracle, c, n, levels, _log_bound(n))
 
 
 _SMALL_N_LEVELS: dict[int, tuple[tuple[int, int], ...]] = {
@@ -301,12 +304,7 @@ def _small_n_bound(n: int, ratio: Callable[[int], Fraction] = greedy_ratio) -> F
     raise ValueError(f"small-n bound defined only for n in {{2,3,4}}, got {n}")
 
 
-def small_n_approx(
-    oracle: IndependenceOracle,
-    c: Matrix,
-    n: int,
-    solver: DupSolver = GREEDY_DUP,
-) -> ApproxResult:
+def small_n_approx(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:
     """Sharper level sets for n in {2, 3, 4}.
 
     n=2 runs levels (k=2, 1 copy) and (k=1, 2 copies); n=3 runs (3, 1) and
@@ -317,14 +315,7 @@ def small_n_approx(
     _require_closed(oracle, "small_n_approx")
     if n not in _SMALL_N_LEVELS:
         raise ValueError(f"small-n algorithm supports n in {{2,3,4}}, got {n}")
-    check_cost_shape(c, n, oracle.ground_size())
-    best: tuple[Matrix, int, int] | None = None
-    for level, (k, copies) in enumerate(_SMALL_N_LEVELS[n]):
-        sol, val = level_candidate(oracle, c, n, k, copies, solver)
-        if best is None or val > best[1]:
-            best = (sol, val, level)
-    assert best is not None
-    return ApproxResult(best[0], best[1], best[2], _small_n_bound(n, solver.ratio))
+    return _best_level(oracle, c, n, _SMALL_N_LEVELS[n], _small_n_bound(n))
 
 
 # Variant name (as the CLI spells it) -> (algorithm, proven ratio as a function of n).
@@ -363,14 +354,10 @@ def convex_identical(
     and a single oracle call with weights f_i(n) - f_i(0) is exact.
     Returns the repeated column s and the objective value.
     """
-    d = oracle.ground_size()
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(tables) != d:
-        raise ValueError(f"{len(tables)} value tables for ground size {d}")
+    check_value_tables(tables, n, oracle.ground_size())
     for i, t in enumerate(tables):
-        if len(t) != n + 1:
-            raise ValueError(f"value table for element {i + 1} must have {n + 1} entries")
         for q in range(n - 1):
             if t[q + 2] - 2 * t[q + 1] + t[q] < 0:
                 raise ValueError(f"value table for element {i + 1} is not convex")

@@ -3,6 +3,8 @@ import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from shiftopt import (
     Meta,
     brute_force_sco,
@@ -313,3 +315,105 @@ def test_gadget_lift_body_file_is_golden(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "702a149658ae61369e50b31f985bf4c2322b43119eb69385a7991c4f5da9ee5d"
     )
+
+
+def test_bench_summary_lines_for_the_criterion_10_configuration(tmp_path, capsys):
+    args = [
+        "bench", "--d", "5", "--n", "3", "--set-size", "12", "--cost-range", "7",
+        "--shifted", "true", "--trials", "40", "--seed", "2024",
+        "--out", str(tmp_path / "run.csv"),
+    ]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "variant=shifted trials=40 min_ratio=0.909091 bound=0.703704 violations=0 skipped=0\n"
+        "variant=log trials=40 min_ratio=0.714286 bound=0.043981 violations=0 skipped=0\n"
+        "variant=small-n trials=40 min_ratio=0.714286 bound=0.452381 violations=0 skipped=0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["independent-set", "--vertices", "3", "--n", "2", "--edges", ""],
+         "empty edge list"),
+        (["coloring", "--vertices", "4", "--edges", " , "], "empty edge list"),
+        (["independent-set", "--vertices", "3", "--n", "2", "--edges", "1-2-3"],
+         "bad edge '1-2-3'; expected u-v"),
+        (["coloring", "--vertices", "4", "--edges", "1-2,3"], "bad edge '3'; expected u-v"),
+        (["hexagon", "--k", "3", "--sets", ";"], "empty set family"),
+        (["congestion", "--n", "2", "--sets", ";"], "empty congestion set list"),
+    ],
+)
+def test_gadget_option_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "gadget.json"
+    assert main(["gadget", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda path, out: ["solve", path, "--variant", "log"],
+        lambda path, out: ["gadget", "lift-body", "--body", path, "--out", out],
+    ],
+    ids=["solve", "lift-body"],
+)
+def test_unreadable_instance_files_exit_1(tmp_path, capsys, command):
+    out = str(tmp_path / "out.json")
+    missing = tmp_path / "missing.json"
+    assert main(command(str(missing), out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"version": 1,')
+    assert main(command(str(broken), out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: line 1 column 15: Expecting property name enclosed in double quotes\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "costs, top",
+    [
+        ((2**53 + 1, 2**53 + 2, 2**53 - 1, 2**53 + 1), 2**53 + 2),
+        ((2**70, 1, 1, 1), 2**70),
+    ],
+)
+def test_solve_rejects_bipartite_weights_the_matching_solver_cannot_handle_exactly(
+    tmp_path, capsys, costs, top
+):
+    from shiftopt import BipartiteGraph, BipartiteMatchings, Instance
+
+    graph = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    inst = Instance(BipartiteMatchings(graph), 1, tuple((v,) for v in costs))
+    path = write_instance(tmp_path, inst)
+    for variant in ("shifted", "log", "convex"):
+        assert main(["solve", path, "--variant", variant]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation error: bipartite matching weight {top} exceeds 2**51, "
+            "the largest the float64 assignment solver handles exactly\n"
+        )
+    assert main(["solve", path, "--variant", "exact"]) == 0
+    best = max(costs[0] + costs[3], costs[1] + costs[2])
+    assert f"value: {best}\n" in capsys.readouterr().out
+
+
+def test_solve_deeply_nested_or_overlong_integer_files_are_parse_errors(tmp_path, capsys):
+    for name, data in (("nested.json", b"[" * 100_000), ("digits.json", b"1" * 5000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--variant", "log"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:") and "Traceback" not in captured.err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import greedy_dup_by_stacking, rand_closed_system, systems
 from shiftopt import (
-    GREEDY_DUP,
     ExplicitSystem,
     UniformMatroid,
     brute_force_dup,
@@ -16,6 +15,7 @@ from shiftopt import (
     matrix,
     orthogonalize,
 )
+from shiftopt.dup import GREEDY_DUP
 
 
 def test_greedy_covers_both_elements():

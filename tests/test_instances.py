@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -513,6 +514,63 @@ def test_parse_rejects_bytes_that_are_not_utf8():
         parse(b"\xff")
     with pytest.raises(InstanceFormatError, match="byte 13"):
         parse(b'{"version": 1\xc3(}')
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_small = st.integers(-1, 4) | _json_values
+
+
+@st.composite
+def _instance_documents(draw):
+    """JSON documents shaped like instances, with any field wrong or missing."""
+    kind = draw(st.sampled_from(["explicit", "uniform", "partition", "graphic", "bipartite", "x"]))
+    fields = {
+        "kind": st.just(kind) | _json_values,
+        "vectors": st.lists(st.text("01", max_size=3), max_size=4) | _json_values,
+        "downward_closed": st.booleans() | _json_values,
+        "d": _small, "rank": _small, "vertices": _small, "left": _small, "right": _small,
+        "blocks": st.lists(
+            st.fixed_dictionaries({"elements": st.lists(_small, max_size=3), "capacity": _small}),
+            max_size=3,
+        ) | _json_values,
+        "edges": st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=4) | _json_values,
+    }
+    system = {k: draw(v) for k, v in fields.items() if draw(st.booleans())}
+    top = {
+        "version": st.just(1) | _json_values,
+        "n": _small,
+        "c": st.lists(st.lists(st.integers(-3, 3) | _json_values, max_size=3), max_size=4)
+        | _json_values,
+        "system": st.just(system) | _json_values,
+        "meta": st.fixed_dictionaries({}, optional={"target": _small, "description": _small})
+        | _json_values,
+    }
+    doc = {k: draw(v) for k, v in top.items() if draw(st.integers(0, 4))}
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.binary(max_size=64) | _json_values.map(json.dumps).map(str.encode) | _instance_documents())
+@example(b"[" * 100_000)
+@example(b"1" * 5000)
+@example(b'{"version": 1, "n": ' + b"7" * 5000 + b"}")
+def test_parse_returns_an_instance_or_raises_a_format_error(data):
+    try:
+        inst = parse(data)
+    except InstanceFormatError:
+        return
+    assert isinstance(inst, Instance)
+
+
+def test_parse_maps_deep_nesting_and_overlong_integers_to_format_errors():
+    with pytest.raises(InstanceFormatError, match="^document nested too deeply$"):
+        parse(b"[" * 100_000)
+    with pytest.raises(InstanceFormatError, match="4300 digits"):
+        parse(b"1" * 5000)
 
 
 def test_instance_validates_dimensions():

@@ -304,6 +304,40 @@ def test_matching_parallel_edges():
     assert not oracle.contains((1, 1))
 
 
+@st.composite
+def _weighted_bipartite(draw):
+    left, right = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair = st.tuples(st.integers(0, left - 1), st.integers(0, right - 1))
+    edges = tuple(draw(st.lists(pair, min_size=1, max_size=8)))
+    # Weights near the exact limit make sums that float64 would round.
+    weight = st.one_of(
+        st.integers(-(2**51), 2**51), st.integers(2**51 - 64, 2**51), st.integers(-3, 3)
+    )
+    w = tuple(draw(st.lists(weight, min_size=len(edges), max_size=len(edges))))
+    return BipartiteMatchings(BipartiteGraph(left, right, edges)), w
+
+
+@settings(max_examples=500, deadline=None)
+@given(_weighted_bipartite())
+def test_matching_is_exact_up_to_the_weight_limit(case):
+    oracle, w = case
+    s = oracle.maximize(w)
+    assert oracle.contains(s)
+    members = [v for v in product((0, 1), repeat=len(w)) if oracle.contains(v)]
+    assert dot(w, s) == max(dot(w, v) for v in members)
+
+
+def test_matching_rejects_weights_above_the_exact_limit():
+    g = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    oracle = BipartiteMatchings(g)
+    assert oracle.maximize((2**51, 2**51 - 1, 2**51 - 1, 2**51)) == (1, 0, 0, 1)
+    # nonpositive weights never reach the solver, whatever their size
+    assert oracle.maximize((-(2**70), 1, 0, 0)) == (0, 1, 0, 0)
+    for w in ((2**51 + 1, 0, 0, 0), (1, 2**70, 1, 1)):
+        with pytest.raises(ValueError, match=r"exceeds 2\*\*51"):
+            oracle.maximize(w)
+
+
 # --- the lift oracle
 
 

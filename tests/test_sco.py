@@ -22,7 +22,6 @@ from helpers import (
 )
 from shiftopt import (
     ApproxResult,
-    DupSolver,
     ExplicitSystem,
     NotDownwardClosedError,
     NotShiftedError,
@@ -34,7 +33,6 @@ from shiftopt import (
     clean,
     constant_shifted,
     convex_identical,
-    greedy_ratio,
     is_downward_closed,
     level_candidate,
     lift_maximize,
@@ -45,6 +43,7 @@ from shiftopt import (
     shifted_value,
     small_n_approx,
 )
+from shiftopt import sco
 
 
 def meets(value, bound: Fraction, opt) -> bool:
@@ -286,18 +285,22 @@ def test_level_candidate_keeps_weight_zero_selections_empty():
     assert value == 5
 
 
-def test_level_candidate_with_a_plugged_in_solver():
+def test_level_candidate_with_a_plugged_in_solver(monkeypatch):
     sys_ = UniformMatroid(3, 3)
     c = ((2, 1, 0, 0), (3, 0, 0, 0), (1, -1, 0, 0))
 
-    def solver(columns, value):
-        return DupSolver(lambda oracle, k, w: OrthogonalSelection(columns, value), greedy_ratio)
+    def plug(columns, value):
+        monkeypatch.setattr(
+            sco, "greedy_dup", lambda oracle, k, w: OrthogonalSelection(columns, value)
+        )
 
-    sol, value = level_candidate(sys_, c, 4, 2, 2, solver(((1, 0, 1), (0, 1, 0)), 7))
+    plug(((1, 0, 1), (0, 1, 0)), 7)
+    sol, value = level_candidate(sys_, c, 4, 2, 2)
     assert sol == ((1, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))
     assert value == 7
+    plug(((1, 0, 0), (1, 1, 0)), 6)
     with pytest.raises(ValueError, match="^DUP columns share element 1$"):
-        level_candidate(sys_, c, 4, 2, 2, solver(((1, 0, 0), (1, 1, 0)), 6))
+        level_candidate(sys_, c, 4, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -320,7 +323,6 @@ def test_approximations_reject_non_closed_explicit_systems(solve, n):
 
 
 def test_small_n_levels_and_bounds():
-    assert small_n_approx.__defaults__  # solver default present
     assert ratio_bound("small_n", 2) == Fraction(3, 5)
     assert ratio_bound("small_n", 3) == Fraction(19, 42)
     assert ratio_bound("small_n", 4) == Fraction(2625, 6692)
