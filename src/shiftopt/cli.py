@@ -46,15 +46,35 @@ from .instances import (
     serialize,
 )
 from .oracles import BipartiteMatchings, ExplicitSystem, UniformMatroid
-from .sco import APPROX_VARIANTS, NotDownwardClosedError, NotShiftedError, convex_identical
+from .sco import APPROX_VARIANTS, NotDownwardClosedError, convex_identical
 
 VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
+# The largest n that solve and bench accept: the exact search recurses once
+# per column, far below the default limit of 1000, and every printed bound
+# (about n log10 n digits) stays under the 4300-digit int-to-str limit.
+MAX_N = 512
 
-def _print_solution(matrix_rows) -> None:
-    print("solution:")
-    for row in matrix_rows:
-        print("".join(str(v) for v in row))
+
+def _too_many_columns(n: int) -> bool:
+    """Whether n exceeds MAX_N, saying so on stderr if it does."""
+    if n > MAX_N:
+        print(f"validation error: n = {n} exceeds the limit of {MAX_N} columns", file=sys.stderr)
+    return n > MAX_N
+
+
+def _decimal(value: int) -> str:
+    """value in decimal, past the int-to-str digit limit too; parse keeps
+    that limit, so only a sum of many long costs can pass it."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _read_instance(path: str) -> Instance | None:
@@ -74,6 +94,8 @@ def _cmd_solve(args) -> int:
     if inst is None:
         return 1
     c, n, system = inst.c, inst.n, inst.system
+    if _too_many_columns(n):
+        return 2
     bound, level = Fraction(1), None
     try:
         if args.variant == "exact":
@@ -94,12 +116,6 @@ def _cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    except NotShiftedError as exc:
-        print(
-            f"validation error: cost matrix is not shifted, row {exc.row + 1} increases",
-            file=sys.stderr,
-        )
-        return 2
     except (ValueError, EnumerationBudgetExceeded) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -109,7 +125,7 @@ def _cmd_solve(args) -> int:
             return 2
 
     print(f"variant: {args.variant}")
-    print(f"value: {value}")
+    print(f"value: {_decimal(value)}")
     print(f"bound: {bound} (~{float(bound):.6f})")
     if level is not None:
         print(f"level: {level}")
@@ -117,7 +133,9 @@ def _cmd_solve(args) -> int:
         met = "yes" if value == inst.meta.target else "no"
         print(f"target: {inst.meta.target} met: {met}")
     if args.print_solution:
-        _print_solution(solution)
+        print("solution:")
+        for row in solution:
+            print("".join(map(str, row)))
     return 0
 
 
@@ -132,6 +150,8 @@ def _bench_variants(n: int, shifted: bool) -> list[str]:
 def _cmd_bench(args) -> int:
     if args.trials < 1:
         print("validation error: --trials must be >= 1", file=sys.stderr)
+        return 2
+    if _too_many_columns(args.n):
         return 2
     variants = _bench_variants(args.n, args.shifted)
     rows = []
@@ -215,6 +235,22 @@ def _edge(part: str) -> tuple[int, int]:
     return int(bits[0]) - 1, int(bits[1]) - 1
 
 
+def _prescribed(system, pc: PrescribedCongestion, description: str) -> Instance:
+    """The instance over system whose target is met iff pc is feasible."""
+    c, target = congestion_to_cost(pc)
+    return Instance(system, pc.n, c, Meta(target=target, description=description))
+
+
+def _lifted(inst: Instance, system, card: int) -> Instance:
+    """inst over system with bumped costs; a target rises by bump * n * card,
+    where card is the number of ones in each column of a target solution."""
+    bump, b = bump_costs(inst.c)
+    meta = inst.meta
+    if meta is not None and meta.target is not None:
+        meta = replace(meta, target=meta.target + bump * inst.n * card)
+    return Instance(system, inst.n, b, meta)
+
+
 def _cmd_gadget(args) -> int:
     try:
         if args.kind == "independent-set":
@@ -225,75 +261,46 @@ def _cmd_gadget(args) -> int:
             pc = coloring_gadget(graph)
             body = perfect_matchings(graph)
             if not body:
-                print(
-                    "validation error: graph has no perfect matching",
-                    file=sys.stderr,
-                )
-                return 2
-            c, target = congestion_to_cost(pc)
-            system = ExplicitSystem(body, downward_closed=False)
-            inst = Instance(
-                system,
-                2,
-                c,
-                Meta(
-                    target=target,
-                    description="perfect matchings of a cubic graph; target met iff "
-                    "two edge-disjoint perfect matchings exist",
-                ),
+                raise ValueError("graph has no perfect matching")
+            inst = _prescribed(
+                ExplicitSystem(body, downward_closed=False),
+                pc,
+                "perfect matchings of a cubic graph; target met iff "
+                "two edge-disjoint perfect matchings exist",
             )
         elif args.kind == "hexagon":
             family = _split(
                 args.sets, ";", lambda p: tuple(int(v) - 1 for v in p.split(",")), "set family"
             )
             bgraph, pc = hexagon_gadget(family, args.k)
-            c, target_c = congestion_to_cost(pc)
-            bump, b = bump_costs(c)
-            pm_size = (bgraph.left + bgraph.right) // 2
-            target = target_c + bump * 2 * pm_size
-            inst = Instance(
-                BipartiteMatchings(bgraph),
-                2,
-                b,
-                Meta(
-                    target=target,
-                    description="hexagon gadget over bipartite matchings; target met "
-                    "iff an exact cover by the given 3-sets exists",
-                ),
+            system = BipartiteMatchings(bgraph)
+            inst = _prescribed(
+                system,
+                pc,
+                "hexagon gadget over bipartite matchings; target met "
+                "iff an exact cover by the given 3-sets exists",
             )
+            inst = _lifted(inst, system, (bgraph.left + bgraph.right) // 2)
         elif args.kind == "congestion":
             sets = _split(
                 args.sets, ";", lambda p: frozenset(map(int, p.split(","))), "congestion set list"
             )
             pc = PrescribedCongestion(args.n, sets)
-            c, target = congestion_to_cost(pc)
             d = len(pc.sets)
-            rank = args.rank if args.rank is not None else d
-            inst = Instance(
-                UniformMatroid(d, rank),
-                args.n,
-                c,
-                Meta(
-                    target=target,
-                    description="prescribed congestion over a uniform matroid; "
-                    "target met iff the prescription is feasible",
-                ),
+            inst = _prescribed(
+                UniformMatroid(d, d if args.rank is None else args.rank),
+                pc,
+                "prescribed congestion over a uniform matroid; "
+                "target met iff the prescription is feasible",
             )
         else:  # lift-body
-            body_inst = _read_instance(args.body)
-            if body_inst is None:
+            body = _read_instance(args.body)
+            if body is None:
                 return 1
-            if not isinstance(body_inst.system, ExplicitSystem):
+            if not isinstance(body.system, ExplicitSystem):
                 raise ValueError("lift-body needs an instance with an explicit system")
-            closure, b = body_to_system(body_inst.system, body_inst.c)
-            meta = body_inst.meta
-            if meta is not None and meta.target is not None:
-                bump, _ = bump_costs(body_inst.c)
-                card = sum(body_inst.system.vectors[0])
-                meta = replace(
-                    meta, target=meta.target + bump * body_inst.n * card
-                )
-            inst = Instance(closure, body_inst.n, b, meta)
+            closure, _ = body_to_system(body.system, body.c)
+            inst = _lifted(body, closure, sum(body.system.vectors[0]))
     except (ValueError, EnumerationBudgetExceeded) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
@@ -344,38 +351,32 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     gadget = sub.add_parser("gadget", help="emit a reduction gadget instance")
+    gadget.set_defaults(func=_cmd_gadget)
     gsub = gadget.add_subparsers(dest="kind", required=True)
 
     ind = gsub.add_parser("independent-set")
     ind.add_argument("--vertices", type=int, required=True)
     ind.add_argument("--edges", required=True, help='edge list like "1-2,2-3"')
     ind.add_argument("--n", type=int, required=True)
-    ind.add_argument("--out", required=True)
-    ind.set_defaults(func=_cmd_gadget)
 
     col = gsub.add_parser("coloring")
     col.add_argument("--vertices", type=int, required=True)
     col.add_argument("--edges", required=True, help='edge list like "1-2,2-3"')
-    col.add_argument("--out", required=True)
-    col.set_defaults(func=_cmd_gadget)
 
     hexa = gsub.add_parser("hexagon")
     hexa.add_argument("--k", type=int, required=True)
     hexa.add_argument("--sets", required=True, help='3-set family like "1,2,3;4,5,6"')
-    hexa.add_argument("--out", required=True)
-    hexa.set_defaults(func=_cmd_gadget)
 
     cong = gsub.add_parser("congestion")
     cong.add_argument("--n", type=int, required=True)
     cong.add_argument("--sets", required=True, help='congestion sets like "0,1;0,2"')
     cong.add_argument("--rank", type=int, default=None)
-    cong.add_argument("--out", required=True)
-    cong.set_defaults(func=_cmd_gadget)
 
     lift = gsub.add_parser("lift-body")
     lift.add_argument("--body", required=True, help="instance file with an explicit body")
-    lift.add_argument("--out", required=True)
-    lift.set_defaults(func=_cmd_gadget)
+
+    for kind in (ind, col, hexa, cong, lift):
+        kind.add_argument("--out", required=True)
 
     return parser
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 from math import comb
 
@@ -191,34 +191,23 @@ def brute_force_sco(
 def brute_force_dup(
     system: ExplicitSystem, k: int, w: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> tuple[int, OrthogonalSelection]:
-    """Exact disjoint union optimum over k-multisets of members."""
+    """Exact disjoint union optimum over k-multisets of members.
+
+    This is the shifted search with rows (w_i, -P, ..., -P), P = 2|w| + 1
+    (|w| the sum of absolute weights): only the first use of an element
+    pays, and any overlap loses more than all weights together, so the
+    first disjoint optimum in the enumeration order wins, and a value below
+    -|w| means that no disjoint selection exists.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     system._check_weights(w)
+    total = sum(map(abs, w))
+    penalty = (-2 * total - 1,) * (k - 1)
+    rows = [(wi, *penalty) for wi in w]
     members = system.vectors
-    _check_budget(comb(len(members) + k - 1, k), budget, "disjoint union brute force")
-    masks = [sum(1 << i for i, b in enumerate(v) if b) for v in members]
-    dots = [sum(w[i] for i, b in enumerate(v) if b) for v in members]
-    best_val: int | None = None
-    best_pick: tuple[int, ...] = ()
-    pick: list[int] = []
-
-    def rec(start: int, used: int, value: int) -> None:
-        nonlocal best_val, best_pick
-        if len(pick) == k:
-            if best_val is None or value > best_val:
-                best_val = value
-                best_pick = tuple(pick)
-            return
-        for idx in range(start, len(members)):
-            if masks[idx] & used:
-                continue
-            pick.append(idx)
-            rec(idx, used | masks[idx], value + dots[idx])
-            pick.pop()
-
-    rec(0, 0, 0)
-    if best_val is None:
+    best_val, best_pick = _best_multiset(members, rows, k, budget, "disjoint union brute force")
+    if best_val is None or best_val < -total:
         raise ValueError("no selection of k pairwise disjoint members exists")
     cols = tuple(members[i] for i in best_pick)
     return best_val, OrthogonalSelection(cols, best_val)
@@ -361,13 +350,10 @@ def independent_set_gadget(graph: Graph, n: int) -> Instance:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = len(graph.edges)
-    stars: list[Vector] = []
-    seen: set[Vector] = set()
-    for v in range(graph.num_vertices):
-        star = tuple(1 if v in e else 0 for e in graph.edges)
-        if star not in seen:
-            seen.add(star)
-            stars.append(star)
+    # A dict keeps the first of equal stars, in vertex order.
+    stars = dict.fromkeys(
+        tuple(1 if v in e else 0 for e in graph.edges) for v in range(graph.num_vertices)
+    )
     system = ExplicitSystem(tuple(stars), downward_closed=False)
     c = tuple((0,) + (-1,) * (n - 1) for _ in range(d))
     meta = Meta(
@@ -395,51 +381,20 @@ def hexagon_gadget(
     m = len(sets)
     if m < 1:
         raise ValueError("at least one subset required")
-    triples = []
-    for pos, f in enumerate(sets):
-        t = tuple(sorted(int(e) for e in f))
-        if len(t) != 3 or len(set(t)) != 3:
-            raise ValueError(f"subset {pos + 1} must have exactly 3 distinct elements")
-        if t[0] < 0 or t[-1] >= k:
-            raise ValueError(f"subset {pos + 1} has elements outside 0..{k - 1}")
-        triples.append(t)
-
-    def u(i: int, r: int) -> int:
-        return 3 * i + r
-
-    def v(i: int, r: int) -> int:
-        return 3 * i + r
-
-    def b(j: int) -> int:
-        return 3 * m + j
-
-    def a(j: int) -> int:
-        return 3 * m + j
-
-    edges: list[tuple[int, int]] = []
-    for i in range(m):
-        edges.extend(
-            [
-                (u(i, 0), v(i, 0)),
-                (u(i, 1), v(i, 0)),
-                (u(i, 1), v(i, 1)),
-                (u(i, 2), v(i, 1)),
-                (u(i, 2), v(i, 2)),
-                (u(i, 0), v(i, 2)),
-            ]
-        )
-    for i, (r, s, t) in enumerate(triples):
-        edges.extend(
-            [
-                (u(i, 0), a(r)),
-                (u(i, 1), a(s)),
-                (u(i, 2), a(t)),
-                (b(r), v(i, 0)),
-                (b(s), v(i, 1)),
-                (b(t), v(i, 2)),
-            ]
-        )
-    graph = BipartiteGraph(3 * m + k, 3 * m + k, tuple(edges))
+    hexagons: list[tuple[int, int]] = []
+    connectors: list[tuple[int, int]] = []
+    for i, f in enumerate(sets):
+        triple = tuple(sorted(int(e) for e in f))
+        if len(triple) != 3 or len(set(triple)) != 3:
+            raise ValueError(f"subset {i + 1} must have exactly 3 distinct elements")
+        if triple[0] < 0 or triple[-1] >= k:
+            raise ValueError(f"subset {i + 1} has elements outside 0..{k - 1}")
+        # u(i, r) and v(i, r) are both 3i + r; a_j and b_j are both 3m + j.
+        x, y, z = 3 * i, 3 * i + 1, 3 * i + 2
+        a_r, a_s, a_t = (3 * m + j for j in triple)
+        hexagons += [(x, x), (y, x), (y, y), (z, y), (z, z), (x, z)]
+        connectors += [(x, a_r), (y, a_s), (z, a_t), (a_r, x), (a_s, y), (a_t, z)]
+    graph = BipartiteGraph(3 * m + k, 3 * m + k, (*hexagons, *connectors))
     csets = tuple([frozenset({0, 1})] * (6 * m) + [frozenset({0, 2})] * (6 * m))
     return graph, PrescribedCongestion(2, csets)
 
@@ -670,13 +625,7 @@ def serialize(instance: Instance) -> bytes:
     else:
         raise TypeError(f"unsupported system type {type(system).__name__}")
     if instance.meta is not None:
-        meta: dict = {}
-        if instance.meta.target is not None:
-            meta["target"] = instance.meta.target
-        if instance.meta.optimum is not None:
-            meta["optimum"] = instance.meta.optimum
-        if instance.meta.description is not None:
-            meta["description"] = instance.meta.description
+        meta = {key: v for key, v in asdict(instance.meta).items() if v is not None}
         if meta:
             obj["meta"] = meta
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")

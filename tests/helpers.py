@@ -189,6 +189,36 @@ def sco_first_optimum_by_multisets(system: ExplicitSystem, c, n: int):
     return best
 
 
+def dup_first_optimum_by_disjoint_recursion(system: ExplicitSystem, k: int, w):
+    """(value, columns) of the first optimal selection of k pairwise disjoint
+    members, in the brute force's multiset order, by a recursion that only
+    extends disjoint picks; ValueError when no such selection exists.  This
+    was the disjoint union brute force before it moved onto the shared
+    multiset enumerator."""
+    members = system.vectors
+    masks = [sum(1 << i for i, b in enumerate(v) if b) for v in members]
+    dots = [sum(w[i] for i, b in enumerate(v) if b) for v in members]
+    best = None
+    pick: list[int] = []
+
+    def rec(start: int, used: int, value: int) -> None:
+        nonlocal best
+        if len(pick) == k:
+            if best is None or value > best[0]:
+                best = (value, tuple(pick))
+            return
+        for idx in range(start, len(members)):
+            if not masks[idx] & used:
+                pick.append(idx)
+                rec(idx, used | masks[idx], value + dots[idx])
+                pick.pop()
+
+    rec(0, 0, 0)
+    if best is None:
+        raise ValueError("no selection of k pairwise disjoint members exists")
+    return best[0], tuple(members[i] for i in best[1])
+
+
 def generalized_value_by_tuples(system: ExplicitSystem, tables, n: int) -> int:
     """Optimum of sum_i f_i(congestion_i) by enumerating ordered n-tuples of
     members, with the congestion summed afresh for each tuple."""

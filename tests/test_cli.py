@@ -1,11 +1,18 @@
 import csv
 import hashlib
+import json
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import systems
 from shiftopt import (
+    Instance,
     Meta,
     brute_force_sco,
     parse,
@@ -42,7 +49,7 @@ def test_solve_shifted_rejects_unshifted_costs(tmp_path, capsys):
     path = write_instance(tmp_path, inst)
     assert main(["solve", path, "--variant", "shifted"]) == 2
     err = capsys.readouterr().err
-    assert "row 3" in err
+    assert err == "validation error: cost matrix is not shifted: row 3 increases\n"
 
 
 def test_solve_log_on_n1_equals_exact(tmp_path, capsys):
@@ -417,3 +424,134 @@ def test_solve_deeply_nested_or_overlong_integer_files_are_parse_errors(tmp_path
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("parse error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["coloring", "--vertices", "4", "--edges", "1-2,1-3,1-4,2-3,2-4,3-4"],
+         "87bcfd0fb51bf255a03b4c3f9732487ba1e1ecdc43d45d07724cd48a51c96a61"),
+        (["congestion", "--n", "3", "--sets", "0,1;2;0,3", "--rank", "2"],
+         "3cb51d011c90b78a28e7b93572bab64758a3360530cb55d782fbb7987942ad42"),
+        (["independent-set", "--vertices", "3", "--edges", "1-2,2-3,1-3", "--n", "2"],
+         "073d490d2d987d590c73d81a249d5a9a1e0006b831aa5f890717467b44b020ed"),
+    ],
+    ids=["coloring-k4", "congestion-rank-2", "independent-set-triangle"],
+)
+def test_gadget_files_are_golden(tmp_path, capsys, argv, digest):
+    out = tmp_path / "gadget.json"
+    assert main(["gadget", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_gadget_coloring_of_a_cubic_graph_without_a_perfect_matching(tmp_path, capsys):
+    # Vertex 16 joins three blocks, each K4 minus the edge a-b plus a vertex
+    # e adjacent to a, b and 16; deleting vertex 16 leaves three odd parts.
+    edges = []
+    for base in (0, 5, 10):
+        a, b, c, d, e = range(base + 1, base + 6)
+        edges += [(a, c), (a, d), (b, c), (b, d), (c, d), (e, a), (e, b), (e, 16)]
+    out = tmp_path / "cubic.json"
+    argv = ["gadget", "coloring", "--vertices", "16", "--out", str(out),
+            "--edges", ",".join(f"{u}-{v}" for u, v in edges)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: graph has no perfect matching\n"
+    assert not out.exists()
+
+
+def write_document(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "system, c",
+    [
+        ({"kind": "uniform", "d": 0, "rank": 0}, []),
+        ({"kind": "explicit", "vectors": ["0"]}, [[0] * 513]),
+    ],
+    ids=["uniform", "explicit"],
+)
+def test_solve_rejects_more_than_512_columns_before_any_work(tmp_path, capsys, system, c):
+    path = write_document(tmp_path, {"version": 1, "system": system, "n": 513, "c": c})
+    for variant in ("shifted", "log", "small-n", "convex", "exact"):
+        assert main(["solve", path, "--variant", variant]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: n = 513 exceeds the limit of 512 columns\n"
+
+
+def test_solve_runs_every_variant_at_512_columns(tmp_path, capsys):
+    # The exact search recurses 511 deep and the log bound is printed in full.
+    doc = {"version": 1, "system": {"kind": "uniform", "d": 0, "rank": 0}, "n": 512, "c": []}
+    path = write_document(tmp_path, doc)
+    for variant in ("shifted", "log", "convex", "exact"):
+        assert main(["solve", path, "--variant", variant]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"variant: {variant}\nvalue: 0\nbound: ")
+
+
+def test_bench_rejects_more_than_512_columns_before_any_work(tmp_path, capsys):
+    code, out = run_bench(tmp_path, "bench.csv", extra=["--n", "513"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: n = 513 exceeds the limit of 512 columns\n"
+    assert not out.exists()
+
+
+def huge_value_document(d: int) -> bytes:
+    """A uniform matroid of rank d with d costs of 4299 nines, n = 1: each
+    cost parses under the interpreter's 4300-digit limit, and for d >= 11
+    the optimum d * (10**4299 - 1) is longer than that limit."""
+    nines = "9" * 4299
+    return (
+        '{"version": 1, "system": {"kind": "uniform", "d": %d, "rank": %d}, "n": 1, "c": [%s]}'
+        % (d, d, ", ".join([f"[{nines}]"] * d))
+    ).encode()
+
+
+def test_solve_prints_values_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_bytes(huge_value_document(20))
+    for variant in ("shifted", "log", "convex"):
+        assert main(["solve", str(path), "--variant", variant]) == 0
+        out = capsys.readouterr().out
+        assert f"\nvalue: 1{'9' * 4298}80\n" in out
+
+
+@st.composite
+def instance_documents(draw):
+    """Small instance files of every system kind, including explicit systems
+    that are not downward closed, unshifted costs, bipartite weights above
+    2**51 (the matching solver's exact range) and n <= 5; vertex counts
+    stay at most 4."""
+    system = draw(systems(max_d=4))
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-5, 8) | st.integers(2**51 - 2, 2**53 + 2) | st.integers(-(2**60), 0)
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    c = draw(st.lists(row, min_size=system.ground_size(), max_size=system.ground_size()))
+    target = draw(st.none() | st.integers(-10, 10))
+    return serialize(Instance(system, n, tuple(c), Meta(target=target)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_documents())
+@example(b'{"version": 1, "system": {"kind": "uniform", "d": 0, "rank": 0}, "n": 3000, "c": []}')
+@example(
+    b'{"version": 1, "system": {"kind": "explicit", "vectors": ["0"]}, "n": 3000, "c": [[%s]]}'
+    % b", ".join([b"0"] * 3000)
+)
+# The digit-limit case at d = 11 rather than 20, so that the exact variant
+# enumerates 2**11 members, not 2**20.
+@example(huge_value_document(11))
+def test_solve_exits_0_1_or_2_on_every_variant_and_never_raises(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "instance.json")
+        path.write_bytes(document)
+        for variant in ("shifted", "log", "small-n", "convex", "exact"):
+            assert main(["solve", str(path), "--variant", variant]) in (0, 1, 2)

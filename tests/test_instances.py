@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     congestion_feasible_by_tuples,
     costs,
+    dup_first_optimum_by_disjoint_recursion,
     generalized_value_by_tuples,
     rand_binary,
     rand_closed_system,
@@ -25,6 +27,7 @@ from shiftopt import (
     Instance,
     InstanceFormatError,
     Meta,
+    OrthogonalSelection,
     PartitionMatroid,
     PrescribedCongestion,
     UniformMatroid,
@@ -122,6 +125,11 @@ def test_brute_force_dup_examples():
 
     assert brute_force_dup(singles, 2, (-1, 0, -3))[0] == 0
 
+    overlapping = ExplicitSystem(((1, 1), (0, 1)))
+    with pytest.raises(ValueError, match="no selection of k pairwise disjoint members"):
+        brute_force_dup(overlapping, 2, (4, 1))
+    assert brute_force_dup(overlapping, 1, (4, -1)) == (3, OrthogonalSelection(((1, 1),), 3))
+
 
 def test_brute_force_generalized_examples():
     sys_ = ExplicitSystem.closed([(1, 0), (0, 1)])
@@ -160,6 +168,23 @@ def explicit_systems(draw, max_d: int = 4):
 def test_brute_force_sco_returns_the_first_optimal_multiset(sys_, n, data):
     c = data.draw(costs(sys_.ground_size(), n))
     assert brute_force_sco(sys_, c, n) == sco_first_optimum_by_multisets(sys_, c, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(explicit_systems(), st.integers(1, 4), st.data())
+def test_brute_force_dup_matches_the_disjoint_recursion(sys_, k, data):
+    # non-closed systems, d = 0 and negative weights; overlaps must never win
+    w = data.draw(st.lists(st.integers(-9, 9), min_size=sys_.ground_size(),
+                           max_size=sys_.ground_size()))
+    try:
+        expected = dup_first_optimum_by_disjoint_recursion(sys_, k, w)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            brute_force_dup(sys_, k, w)
+        return
+    value, sel = brute_force_dup(sys_, k, w)
+    assert (value, sel.columns) == expected
+    assert sel.value == value
 
 
 @settings(max_examples=300, deadline=None)
