@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -213,7 +214,7 @@ class UniformMatroid(IndependenceOracle):
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)
-        order = sorted(range(self.d), key=lambda i: (-w[i], i))
+        order = sorted(range(self.d), key=w.__getitem__, reverse=True)
         s = [0] * self.d
         for i in order[: self.rank]:
             if w[i] > 0:
@@ -268,40 +269,54 @@ class PartitionMatroid(IndependenceOracle):
         self._check_weights(w)
         s = [0] * self.d
         for elems, cap in self.blocks:
-            order = sorted(elems, key=lambda i: (-w[i], i))
+            order = sorted(elems, key=w.__getitem__, reverse=True)
             for i in order[:cap]:
                 if w[i] > 0:
                     s[i] = 1
         return tuple(s)
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+def _forest(ends: Sequence[tuple[int, int]], order: Iterable[int], vertices: int) -> list[int]:
+    """The edges of `order` (indices into ends) that join two components of
+    the forest built so far, in order, over local vertices 0..vertices-1.
+    Stops at a spanning tree, after which every edge would close a cycle."""
+    parent = list(range(vertices))
+    accepted: list[int] = []
+    room = vertices - 1
+    for i in order:
+        a, b = ends[i]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            accepted.append(i)
+            room -= 1
+            if not room:
+                break
+    return accepted
 
 
 @dataclass(frozen=True)
 class GraphicMatroid(IndependenceOracle):
     """Forests of a multigraph; ground element i is the i-th edge.
 
-    Parallel edges are allowed; self-loops are never independent.
+    Parallel edges are allowed; self-loops are never independent.  The
+    constructor numbers the vertices that some edge touches in first-seen
+    order, so the per-call forest has one entry per such vertex, however
+    many vertices are declared.  maximize is Kruskal's greedy on the
+    positive edges, ties to the lower index, stopping at a spanning tree.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
+    # Each edge's endpoints in the local numbering of the touched vertices.
+    _ends: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=()
+    )
+    # The number of vertices that some edge touches.
+    _touched: int = field(init=False, repr=False, compare=False, hash=False, default=0)
 
     def __post_init__(self) -> None:
         if self.num_vertices < 0:
@@ -311,6 +326,13 @@ class GraphicMatroid(IndependenceOracle):
         for u, v in edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError(f"edge ({u},{v}) references missing vertex")
+        local: dict[int, int] = {}
+        ends = tuple(
+            (local.setdefault(u, len(local)), local.setdefault(v, len(local)))
+            for u, v in edges
+        )
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_touched", len(local))
 
     def ground_size(self) -> int:
         return len(self.edges)
@@ -318,23 +340,16 @@ class GraphicMatroid(IndependenceOracle):
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != len(self.edges) or any(b not in (0, 1) for b in v):
             return False
-        uf = _UnionFind(self.num_vertices)
-        for bit, (a, b) in zip(v, self.edges):
-            if bit and not uf.union(a, b):
-                return False
-        return True
+        chosen = list(compress(range(len(v)), v))
+        return len(_forest(self._ends, chosen, self._touched)) == len(chosen)
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)
-        order = sorted(range(len(self.edges)), key=lambda i: (-w[i], i))
-        uf = _UnionFind(self.num_vertices)
+        positive = [i for i, x in enumerate(w) if x > 0]
+        order = sorted(positive, key=w.__getitem__, reverse=True)
         s = [0] * len(self.edges)
-        for i in order:
-            if w[i] <= 0:
-                break
-            u, v = self.edges[i]
-            if uf.union(u, v):
-                s[i] = 1
+        for i in _forest(self._ends, order, self._touched):
+            s[i] = 1
         return tuple(s)
 
 

@@ -226,21 +226,19 @@ def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxRes
     if bad is not None:
         raise NotShiftedError(bad)
     m = [0] * len(c)
+    w = [row[0] for row in c]
     out = [[0] * n for _ in c]
     for r in range(n):
-        w = [
-            row[0] if mi == 0 else row[mi] if mi < n and row[mi] > 0 else 0
-            for row, mi in zip(c, m)
-        ]
         s = oracle.maximize(w)
         if not any(s):
             break
-        for i, bit in enumerate(s):
+        for i in compress(range(len(c)), s):
             # An explicit system may select an element whose weight is 0 only
             # because its cells are used up; that selection covers nothing.
-            if bit and (m[i] == 0 or w[i] > 0):
+            if m[i] == 0 or w[i] > 0:
                 out[i][r] = 1
-                m[i] += 1
+                mi = m[i] = m[i] + 1
+                w[i] = c[i][mi] if mi < n and c[i][mi] > 0 else 0
     value = sum(sum(row[:mi]) for row, mi in zip(c, m))
     return ApproxResult(tuple(map(tuple, out)), value, None, greedy_ratio(n))
 

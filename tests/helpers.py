@@ -325,6 +325,96 @@ def constant_shifted_by_lift(oracle, c, n: int):
     return ApproxResult(y, shifted_value(c, y), None, greedy_ratio(n))
 
 
+def constant_shifted_by_round_rebuild(oracle, c, n: int):
+    """Reference constant-ratio algorithm with the round weights rebuilt
+    from the congestion counters every round: c[i][0] while element i is
+    uncovered, then c[i][m[i]] while that entry exists and is positive,
+    else 0.  A selection of a covered element of weight 0 covers nothing."""
+    from shiftopt import ApproxResult, greedy_ratio
+
+    m = [0] * len(c)
+    out = [[0] * n for _ in c]
+    for r in range(n):
+        w = [
+            row[0] if mi == 0 else row[mi] if mi < n and row[mi] > 0 else 0
+            for row, mi in zip(c, m)
+        ]
+        s = oracle.maximize(w)
+        if not any(s):
+            break
+        for i, bit in enumerate(s):
+            if bit and (m[i] == 0 or w[i] > 0):
+                out[i][r] = 1
+                m[i] += 1
+    value = sum(sum(row[:mi]) for row, mi in zip(c, m))
+    return ApproxResult(tuple(map(tuple, out)), value, None, greedy_ratio(n))
+
+
+def uniform_maximize_by_key_sort(oracle: UniformMatroid, w):
+    """Reference uniform oracle: sort by (-w[i], i) and take the positive
+    elements among the first `rank`."""
+    order = sorted(range(oracle.d), key=lambda i: (-w[i], i))
+    s = [0] * oracle.d
+    for i in order[: oracle.rank]:
+        if w[i] > 0:
+            s[i] = 1
+    return tuple(s)
+
+
+def partition_maximize_by_key_sort(oracle: PartitionMatroid, w):
+    """Reference partition oracle: per block, sort by (-w[i], i) and take
+    the positive elements among the first `capacity`."""
+    s = [0] * oracle.d
+    for elems, cap in oracle.blocks:
+        order = sorted(elems, key=lambda i: (-w[i], i))
+        for i in order[:cap]:
+            if w[i] > 0:
+                s[i] = 1
+    return tuple(s)
+
+
+class UnionFind:
+    """Union-find over 0..n-1 with path halving."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def graphic_maximize_by_union_find(oracle: GraphicMatroid, w):
+    """Reference graphic oracle: Kruskal over all declared vertices, edges
+    sorted by (-w[i], i), stopping at the first nonpositive weight."""
+    order = sorted(range(len(oracle.edges)), key=lambda i: (-w[i], i))
+    uf = UnionFind(oracle.num_vertices)
+    s = [0] * len(oracle.edges)
+    for i in order:
+        if w[i] <= 0:
+            break
+        if uf.union(*oracle.edges[i]):
+            s[i] = 1
+    return tuple(s)
+
+
+def graphic_contains_by_union_find(oracle: GraphicMatroid, v) -> bool:
+    """Reference forest test over all declared vertices."""
+    if len(v) != len(oracle.edges) or any(b not in (0, 1) for b in v):
+        return False
+    uf = UnionFind(oracle.num_vertices)
+    return all(uf.union(a, b) for bit, (a, b) in zip(v, oracle.edges) if bit)
+
+
 def level_candidate_by_cleaning(oracle, c, n: int, k: int, copies: int):
     """Reference duplication level: solve DUP with k columns (the greedy),
     repeat each column `copies` times, pad with zero columns to width n,

@@ -1,19 +1,24 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     down_close_by_tuples,
     explicit_constructor_error,
     explicit_maximize_by_scan,
+    graphic_contains_by_union_find,
+    graphic_maximize_by_union_find,
     is_downward_closed_by_tuples,
     lift_value_by_scan,
     lift_value_full_enum,
+    partition_maximize_by_key_sort,
     rand_closed_system,
     rand_cost,
+    uniform_maximize_by_key_sort,
 )
 from shiftopt import (
     BipartiteGraph,
@@ -257,6 +262,91 @@ def test_oracles_match_enumeration_on_random_weights():
             assert oracle.contains(s)
             assert dot(w, s) == enumerate_optimum(oracle, w)
             assert all(si == 0 for wi, si in zip(w, s) if wi < 0)
+
+
+# Small weights so that ties, zeros and negatives are common.
+_tie_weights = st.integers(-3, 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda d: st.tuples(
+    st.integers(0, d + 1), st.lists(_tie_weights, min_size=d, max_size=d),
+)))
+@example((0, []))
+@example((0, [2, 2, 2]))
+def test_uniform_maximize_equals_key_sort_reference(case):
+    rank, w = case
+    oracle = UniformMatroid(len(w), rank)
+    assert oracle.maximize(w) == uniform_maximize_by_key_sort(oracle, w)
+    assert oracle.maximize(tuple(w)) == uniform_maximize_by_key_sort(oracle, w)
+
+
+@st.composite
+def _partitions(draw):
+    d = draw(st.integers(0, 9))
+    # block label per element; -1 leaves the element in no block
+    labels = draw(st.lists(st.integers(-1, 3), min_size=d, max_size=d))
+    caps = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    blocks = tuple(
+        (tuple(draw(st.permutations([i for i in range(d) if labels[i] == b]))), caps[b])
+        for b in range(4)
+        if b in labels
+    )
+    return PartitionMatroid(d, blocks), draw(
+        st.lists(_tie_weights, min_size=d, max_size=d)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_partitions())
+@example((PartitionMatroid(3, (((2, 0, 1), 0),)), [1, 1, 1]))
+@example((PartitionMatroid(4, (((3, 1, 0), 2),)), [1, 1, 0, 1]))
+def test_partition_maximize_equals_key_sort_reference(case):
+    oracle, w = case
+    assert oracle.maximize(w) == partition_maximize_by_key_sort(oracle, w)
+
+
+@st.composite
+def _graphs(draw):
+    used = draw(st.integers(0, 5))
+    spare = draw(st.integers(0, 3))  # declared vertices that no edge touches
+    vertex = st.integers(0, used - 1) if used else st.nothing()
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10 if used else 0))
+    oracle = GraphicMatroid(used + spare, tuple(edges))
+    d = len(edges)
+    w = draw(st.lists(_tie_weights, min_size=d, max_size=d))
+    v = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    return oracle, w, tuple(v)
+
+
+@settings(max_examples=800, deadline=None)
+@given(_graphs())
+@example((GraphicMatroid(0, ()), [], ()))
+@example((GraphicMatroid(3, ()), [], ()))
+@example((GraphicMatroid(1, ((0, 0), (0, 0))), [2, 1], (1, 0)))
+@example((GraphicMatroid(4, ((0, 1), (1, 0), (0, 1), (2, 2))), [1, 1, 1, 5], (1, 1, 0, 0)))
+@example((GraphicMatroid(5, ((3, 1), (1, 3), (3, 3), (1, 2))), [0, -1, 3, 0], (0, 0, 0, 1)))
+def test_graphic_oracle_equals_union_find_reference(case):
+    oracle, w, v = case
+    s = oracle.maximize(w)
+    assert s == graphic_maximize_by_union_find(oracle, w)
+    assert oracle.contains(s)
+    assert oracle.contains(v) == graphic_contains_by_union_find(oracle, v)
+
+
+def test_graphic_per_call_memory_ignores_untouched_vertices():
+    # One edge among 200,000 declared vertices: a call's work must be sized
+    # by the two vertices the edge touches, not by the declared count.
+    oracle = GraphicMatroid(200_000, ((0, 1),))
+    for call, expected in ((lambda: oracle.maximize((5,)), (1,)),
+                           (lambda: oracle.contains((1,)), True)):
+        tracemalloc.start()
+        try:
+            assert call() == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 def test_explicit_closed_matches_enumeration():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     CountingOracle,
     constant_shifted_by_lift,
+    constant_shifted_by_round_rebuild,
     costs,
     disjoint_union_of_lift,
     equivalents_of_power,
@@ -187,6 +188,25 @@ def test_constant_shifted_matches_lift_reference(instance):
             constant_shifted(sys_, c, n)
         return
     assert constant_shifted(sys_, c, n) == constant_shifted_by_lift(sys_, c, n)
+
+
+# Members listed with (1, 1) first: with costs ((2, 1), (0, 0)) the first
+# round selects element 2 at weight 0 while it is uncovered, and the second
+# selects it again at weight 0 after its one positive cell is used.
+_ZERO_PICK = ExplicitSystem(((1, 1), (1, 0), (0, 1), (0, 0)), downward_closed=True)
+
+
+@settings(max_examples=800, deadline=None)
+@given(shifted_instances())
+@example((_ZERO_PICK, ((2, 1), (0, 0)), 2))
+@example((_ZERO_PICK, ((2, 1), (0, -1)), 2))
+@example((_ZERO_PICK, ((3,), (0,)), 1))
+@example((UniformMatroid(3, 0), ((4, 2), (1, 1), (0, 0)), 2))
+def test_constant_shifted_equals_round_rebuild_reference(instance):
+    sys_, c, n = instance
+    if not_closed(sys_):
+        return
+    assert constant_shifted(sys_, c, n) == constant_shifted_by_round_rebuild(sys_, c, n)
 
 
 @settings(max_examples=300, deadline=None)
