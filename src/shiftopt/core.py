@@ -19,9 +19,20 @@ Matrix = tuple[tuple[int, ...], ...]
 CongestionProfile = tuple[int, ...]
 
 
+_EXACT_INT = frozenset({int})
+
+
 def matrix(rows: Iterable[Iterable[int]]) -> Matrix:
-    """Canonicalize nested iterables into a rectangular tuple-of-rows matrix."""
-    out = tuple(tuple(map(int, row)) for row in rows)
+    """Canonicalize nested iterables into a rectangular tuple-of-rows matrix.
+
+    A row that is already a tuple of exact ints is kept as it is; any other
+    row is converted entry by entry with int()."""
+    out = tuple(
+        row
+        if type(row) is tuple and _EXACT_INT.issuperset(map(type, row))
+        else tuple(map(int, row))
+        for row in rows
+    )
     widths = {len(row) for row in out}
     if len(widths) > 1:
         raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
@@ -100,9 +111,8 @@ def is_shifted(c: Matrix) -> bool:
 def first_unshifted_row(c: Matrix) -> int | None:
     """0-based index of the first row that increases somewhere, else None."""
     for i, row in enumerate(c):
-        for j in range(len(row) - 1):
-            if row[j] < row[j + 1]:
-                return i
+        if sorted(row, reverse=True) != [*row]:
+            return i
     return None
 
 

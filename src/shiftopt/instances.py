@@ -37,7 +37,6 @@ from .oracles import (
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
-    down_close,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -541,27 +540,39 @@ def random_instance(
     maximal member preserves closure).  Costs are uniform integers in
     [-cost_range, cost_range]; with shifted=True each row is sorted
     nonincreasing.
+
+    Members are int masks with element i at bit d-1-i, so mask order is
+    the order of the 0/1 tuples.  On a closed family a member is maximal
+    iff no one-element extension is a member, and removing a maximal m can
+    only make the members m minus one element maximal.
     """
     if d < 1 or n < 1 or set_size < 1 or cost_range < 0:
         raise ValueError("d, n, set_size must be >= 1 and cost_range >= 0")
     rng = random.Random(seed)
-    gens: set[Vector] = set()
+    bits = [1 << (d - 1 - i) for i in range(d)]
+    members = {0}
     for _ in range(rng.randint(1, 3)):
-        support = rng.sample(range(d), rng.randint(1, min(4, d)))
-        vec = [0] * d
-        for i in support:
-            vec[i] = 1
-        gens.add(tuple(vec))
-    members = set(down_close(gens))
+        gen = sum(bits[i] for i in rng.sample(range(d), rng.randint(1, min(4, d))))
+        sub = gen
+        while sub:  # every nonzero submask of gen
+            members.add(sub)
+            sub = (sub - 1) & gen
+
+    def maximal(m: int) -> bool:
+        return not any(m | b in members for b in bits if not m & b)
+
+    tops = set(filter(maximal, members))
     while len(members) > set_size:
-        maximal = sorted(
-            v
-            for v in members
-            if not any(w != v and all(a <= b for a, b in zip(v, w)) for w in members)
-        )
-        members.remove(rng.choice(maximal))
+        m = rng.choice(sorted(tops))
+        members.remove(m)
+        tops.remove(m)
+        tops.update(filter(maximal, (m ^ b for b in bits if m & b)))
     system = ExplicitSystem(
-        tuple(sorted(members, key=lambda v: (sum(v), v))), downward_closed=True
+        tuple(
+            tuple(map(int, format(m, f"0{d}b")))
+            for m in sorted(members, key=lambda m: (m.bit_count(), m))
+        ),
+        downward_closed=True,
     )
     rows = []
     for _ in range(d):

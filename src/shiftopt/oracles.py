@@ -14,9 +14,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .core import Matrix, Vector, check_cost_shape
 
 
@@ -398,6 +395,11 @@ class BipartiteMatchings(IndependenceOracle):
     updated dual lies in [-2C, 2C].  All are integers, and float64 holds
     every integer of magnitude at most 2**53 exactly, so with 2C <= 2**53
     no operation rounds and the result is the exact optimum.
+
+    numpy and scipy are imported inside maximize, after the checks above,
+    so they load on the first call with a positive weight within the
+    bound; every other system kind, and `shiftopt bench`, runs without
+    them.
     """
 
     graph: BipartiteGraph
@@ -438,6 +440,9 @@ class BipartiteMatchings(IndependenceOracle):
                 f"bipartite matching weight {top} exceeds 2**51, the largest the "
                 "float64 assignment solver handles exactly"
             )
+        import numpy as np
+        from scipy.optimize import linear_sum_assignment
+
         weights = np.zeros((g.left, g.right), dtype=np.int64)
         for (l, r), (wt, _) in best.items():
             weights[l, r] = wt

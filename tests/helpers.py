@@ -13,6 +13,7 @@ from shiftopt import (
     ExplicitSystem,
     GraphicMatroid,
     IndependenceOracle,
+    Instance,
     PartitionMatroid,
     UniformMatroid,
     down_close,
@@ -60,6 +61,15 @@ def rand_cost(rng: random.Random, d: int, n: int, lo: int = -9, hi: int = 9,
     return tuple(rows)
 
 
+def random_instance_by_pairwise_scan(seed: int, *, d: int, n: int, set_size: int,
+                                     cost_range: int, shifted: bool) -> Instance:
+    """Reference `random_instance`: the same draws, with the maximal members
+    found by comparing every pair of member tuples."""
+    rng = random.Random(seed)
+    system = rand_closed_system(rng, d, set_size)
+    return Instance(system, n, rand_cost(rng, d, n, -cost_range, cost_range, shifted), None)
+
+
 def rand_binary(rng: random.Random, d: int, n: int):
     return tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(d))
 
@@ -74,6 +84,24 @@ def rand_convex_tables(rng: random.Random, d: int, n: int):
             t.append(t[-1] + inc)
         tables.append(tuple(t))
     return tuple(tables)
+
+
+def matrix_by_int_per_entry(rows):
+    """Reference `core.matrix`: int() on every entry of every row."""
+    out = tuple(tuple(map(int, row)) for row in rows)
+    widths = {len(row) for row in out}
+    if len(widths) > 1:
+        raise ValueError(f"ragged matrix: row lengths {sorted(widths)}")
+    return out
+
+
+def first_unshifted_row_by_pairs(c):
+    """Reference `core.first_unshifted_row`: compares each adjacent pair."""
+    for i, row in enumerate(c):
+        for j in range(len(row) - 1):
+            if row[j] < row[j + 1]:
+                return i
+    return None
 
 
 def explicit_maximize_by_scan(system: ExplicitSystem, w):

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import systems
+import shiftopt
 from shiftopt import (
     Instance,
     Meta,
@@ -555,3 +559,65 @@ def test_solve_exits_0_1_or_2_on_every_variant_and_never_raises(document):
         path.write_bytes(document)
         for variant in ("shifted", "log", "small-n", "convex", "exact"):
             assert main(["solve", str(path), "--variant", variant]) in (0, 1, 2)
+
+
+# Run in a fresh interpreter, so that no other test has imported numpy or
+# scipy first.  Asserts that only a bipartite maximize with a positive
+# weight within the exact bound loads them.
+IMPORT_GUARD = r"""
+import sys
+
+from shiftopt import (
+    BipartiteGraph, BipartiteMatchings, ExplicitSystem, GraphicMatroid, Instance,
+    PartitionMatroid, UniformMatroid, constant_shifted, log_approx, parse, serialize,
+)
+from shiftopt.cli import main
+
+
+def loaded():
+    return sorted({"numpy", "scipy"} & set(sys.modules))
+
+
+tmp = sys.argv[1]
+c = ((3, 2), (2, 1), (1, 0))
+systems = (
+    ExplicitSystem.closed([(1, 1, 0), (0, 0, 1)]),
+    UniformMatroid(3, 2),
+    PartitionMatroid(3, (((0, 1), 1), ((2,), 1))),
+    GraphicMatroid(3, ((0, 1), (1, 2), (0, 2))),
+)
+for k, system in enumerate(systems):
+    inst = parse(serialize(Instance(system, 2, c)))
+    constant_shifted(inst.system, inst.c, inst.n)
+    log_approx(inst.system, inst.c, inst.n)
+    path = f"{tmp}/inst{k}.json"
+    with open(path, "wb") as fh:
+        fh.write(serialize(inst))
+    assert main(["solve", path, "--variant", "shifted"]) == 0
+assert main([
+    "bench", "--d", "6", "--n", "3", "--set-size", "12", "--cost-range", "7",
+    "--shifted", "true", "--trials", "5", "--seed", "0", "--out", f"{tmp}/bench.csv",
+]) == 0
+assert loaded() == [], loaded()
+
+matchings = BipartiteMatchings(BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 1))))
+assert matchings.maximize((0, -1, 0)) == (0, 0, 0)
+try:
+    matchings.maximize((2**51 + 1, 1, 1))
+except ValueError:
+    pass
+else:
+    raise AssertionError("no ValueError above 2**51")
+assert loaded() == [], loaded()
+assert matchings.maximize((1, 0, 1)) == (1, 0, 1)
+assert loaded() == ["numpy", "scipy"], loaded()
+"""
+
+
+def test_numpy_and_scipy_load_only_for_a_positive_bipartite_maximize(tmp_path):
+    src = Path(shiftopt.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_binary, rand_cost
+from helpers import (
+    first_unshifted_row_by_pairs,
+    matrix_by_int_per_entry,
+    rand_binary,
+    rand_cost,
+)
 from shiftopt import (
     congestion,
     equivalent,
@@ -16,6 +21,7 @@ from shiftopt import (
     shift,
     shifted_value,
 )
+from shiftopt.core import first_unshifted_row
 
 bits = st.integers(min_value=0, max_value=1)
 
@@ -151,3 +157,50 @@ def test_columns_round_trip():
 def test_shift_is_descending_sort_per_row(x):
     for row in shift(x):
         assert all(row[j] >= row[j + 1] for j in range(len(row) - 1))
+
+
+class _Int(int):
+    pass
+
+
+# Entries that core.matrix must convert: bools, floats, an int subclass.
+_entries = (
+    st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.floats(-1e6, 1e6, allow_nan=False)
+    | st.integers(-9, 9).map(_Int)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(_entries, max_size=4).map(tuple) | st.lists(_entries, max_size=4),
+        max_size=5,
+    )
+)
+def test_matrix_equals_int_per_entry_reference(rows):
+    try:
+        expected = matrix_by_int_per_entry(rows)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            matrix(rows)
+        assert str(raised.value) == str(err)
+        return
+    got = matrix(rows)
+    assert got == expected
+    assert all(type(row) is tuple for row in got)
+    assert all(type(v) is int for row in got for v in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-2, 2), max_size=5).map(tuple)
+        | st.lists(st.integers(-2, 2), max_size=5)
+        | st.integers(0, 5).map(lambda k: (7,) * k),
+        max_size=6,
+    )
+)
+def test_first_unshifted_row_equals_pairwise_reference(c):
+    assert first_unshifted_row(c) == first_unshifted_row_by_pairs(c)

@@ -15,6 +15,7 @@ from helpers import (
     rand_binary,
     rand_closed_system,
     rand_cost,
+    random_instance_by_pairwise_scan,
     sco_first_optimum_by_multisets,
     sco_value_full_tuple_enum,
 )
@@ -454,6 +455,18 @@ def test_random_instance_shifted_rows():
     assert is_shifted(inst.c)
     assert inst.system.downward_closed
     assert len(inst.system.vectors) <= 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32), st.integers(1, 8), st.integers(1, 5), st.integers(1, 40),
+    st.integers(0, 7), st.booleans(),
+)
+def test_random_instance_equals_pairwise_scan_reference(
+    seed, d, n, set_size, cost_range, shifted
+):
+    args = dict(d=d, n=n, set_size=set_size, cost_range=cost_range, shifted=shifted)
+    assert random_instance(seed, **args) == random_instance_by_pairwise_scan(seed, **args)
 
 
 def test_round_trip_on_random_instances():
