@@ -7,10 +7,11 @@ Subcommands:
             per-trial ratios and exits nonzero on any bound violation.
 * gadget -- emit reduction/gadget instances as files.
 
-Exit codes: 0 ok, 1 I/O or parse error, 2 validation error (including a
-variant applied to an instance it does not support, such as an
-approximation variant on a system that is not downward closed, and a
-solution column outside the system), 3 bound violation detected by bench.
+Exit codes: 0 ok, 1 I/O, parse or missing-dependency error, 2 validation
+error (including a variant applied to an instance it does not support,
+such as an approximation variant on a system that is not downward closed,
+and a solution column outside the system), 3 bound violation detected by
+bench.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ def _cmd_solve(args) -> int:
     except (ValueError, EnumerationBudgetExceeded) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except ImportError as exc:  # bipartite matchings need numpy and scipy
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for j, col in enumerate(columns(solution), 1):
         if not system.contains(col):
             print(f"validation error: solution column {j} is not in the system", file=sys.stderr)

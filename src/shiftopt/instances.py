@@ -20,6 +20,7 @@ from itertools import product
 from math import comb
 
 from .core import (
+    _EXACT_INT,
     Matrix,
     Vector,
     check_cost_shape,
@@ -466,10 +467,10 @@ def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def all_matchings(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[Vector, ...]:
-    """All matchings (including empty) as edge indicator vectors."""
-    d = len(graph.edges)
-    used = [False] * graph.num_vertices
+def _matchings(ends: Sequence[tuple[int, int]], budget: int) -> tuple[Vector, ...]:
+    """All matchings (including empty) of the edges `ends`, parallel ones allowed."""
+    d = len(ends)
+    used: set[int] = set()  # sized by the matched vertices, not the declared ones
     sel = [0] * d
     out: list[Vector] = []
 
@@ -482,16 +483,21 @@ def all_matchings(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[Vector, .
             out.append(tuple(sel))
             return
         rec(i + 1)
-        x, y = graph.edges[i]
-        if not used[x] and not used[y]:
-            used[x] = used[y] = True
+        x, y = ends[i]
+        if x not in used and y not in used:
+            used.update((x, y))
             sel[i] = 1
             rec(i + 1)
             sel[i] = 0
-            used[x] = used[y] = False
+            used.difference_update((x, y))
 
     rec(0)
     return tuple(out)
+
+
+def all_matchings(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[Vector, ...]:
+    """All matchings (including empty) as edge indicator vectors."""
+    return _matchings(graph.edges, budget)
 
 
 def exact_cover_exists(sets: Sequence[Iterable[int]], k: int) -> bool:
@@ -588,7 +594,8 @@ def explicit_members(system: SystemSpec, budget: int = DEFAULT_BUDGET) -> Explic
     if isinstance(system, ExplicitSystem):
         return system
     if isinstance(system, BipartiteMatchings):
-        vecs = all_matchings(bipartite_to_graph(system.graph), budget)
+        g = system.graph
+        vecs = _matchings([(l, g.left + r) for l, r in g.edges], budget)
     else:
         d = system.ground_size()
         _check_budget(2**d, budget, "membership enumeration")
@@ -674,7 +681,6 @@ def _parse_int_pairs(raw, path: str, what: str) -> list[tuple[int, int]]:
 
 # Maps the characters "0" and "1" of a vector string to the values 0 and 1.
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-_INT_TYPE = frozenset({int})
 
 
 def _parse_system(obj, path: str) -> SystemSpec:
@@ -755,7 +761,7 @@ def parse(data: bytes | str) -> Instance:
     rows = []
     for i, row in enumerate(raw_c):
         # JSON yields exact types, so a bool or float entry fails the type test.
-        if not isinstance(row, list) or not _INT_TYPE.issuperset(map(type, row)):
+        if not isinstance(row, list) or not _EXACT_INT.issuperset(map(type, row)):
             raise InstanceFormatError(f"c[{i}]: expected a list of integers")
         rows.append(tuple(row))
     meta = None

@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 from .core import Matrix, Vector, check_cost_shape
+
+
+def _derived(default):
+    """A field the constructor computes, left out of init, repr, equality and hashing."""
+    return field(init=False, repr=False, compare=False, hash=False, default=default)
 
 
 class IndependenceOracle:
@@ -28,6 +33,10 @@ class IndependenceOracle:
 
     def contains(self, v: Sequence[int]) -> bool:
         raise NotImplementedError
+
+    def _is_vector(self, v: Sequence[int]) -> bool:
+        """Whether v is a 0/1 vector over the ground set."""
+        return len(v) == self.ground_size() and all(b in (0, 1) for b in v)
 
     def _check_weights(self, w: Sequence[int]) -> None:
         if len(w) != self.ground_size():
@@ -131,17 +140,11 @@ class ExplicitSystem(IndependenceOracle):
 
     vectors: tuple[Vector, ...]
     downward_closed: bool = False
-    _member_set: frozenset[Vector] = field(
-        init=False, repr=False, compare=False, hash=False, default=frozenset()
-    )
+    _member_set: frozenset[Vector] = _derived(frozenset())
     # (parent node, element) for nodes 1, 2, ...; node 0 is the root.
-    _tree: tuple[tuple[int, int], ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
+    _tree: tuple[tuple[int, int], ...] = _derived(())
     # The tree node of each member, in list order.
-    _member_nodes: tuple[int, ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
+    _member_nodes: tuple[int, ...] = _derived(())
 
     def __post_init__(self) -> None:
         vecs, masks = _bitmasks(self.vectors)
@@ -203,11 +206,7 @@ class UniformMatroid(IndependenceOracle):
         return self.d
 
     def contains(self, v: Sequence[int]) -> bool:
-        return (
-            len(v) == self.d
-            and all(b in (0, 1) for b in v)
-            and sum(v) <= self.rank
-        )
+        return self._is_vector(v) and sum(v) <= self.rank
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)
@@ -253,14 +252,11 @@ class PartitionMatroid(IndependenceOracle):
         return self.d
 
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.d or any(b not in (0, 1) for b in v):
+        if not self._is_vector(v):
             return False
-        covered = set()
-        for elems, cap in self.blocks:
-            covered.update(elems)
-            if sum(v[e] for e in elems) > cap:
-                return False
-        return all(v[i] == 0 for i in range(self.d) if i not in covered)
+        # The blocks are disjoint, so v selects nothing outside them iff their counts sum to sum(v).
+        used = [sum(v[e] for e in elems) for elems, _ in self.blocks]
+        return sum(used) == sum(v) and all(u <= cap for u, (_, cap) in zip(used, self.blocks))
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)
@@ -271,6 +267,11 @@ class PartitionMatroid(IndependenceOracle):
                 if w[i] > 0:
                     s[i] = 1
         return tuple(s)
+
+
+def _numbering(vertices: Iterable[int]) -> dict[int, int]:
+    """Local numbers 0, 1, ... for the distinct given vertices, in increasing order."""
+    return {v: k for k, v in enumerate(sorted(set(vertices)))}
 
 
 def _forest(ends: Sequence[tuple[int, int]], order: Iterable[int], vertices: int) -> list[int]:
@@ -300,7 +301,7 @@ class GraphicMatroid(IndependenceOracle):
     """Forests of a multigraph; ground element i is the i-th edge.
 
     Parallel edges are allowed; self-loops are never independent.  The
-    constructor numbers the vertices that some edge touches in first-seen
+    constructor numbers the vertices that some edge touches in increasing
     order, so the per-call forest has one entry per such vertex, however
     many vertices are declared.  maximize is Kruskal's greedy on the
     positive edges, ties to the lower index, stopping at a spanning tree.
@@ -309,11 +310,9 @@ class GraphicMatroid(IndependenceOracle):
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     # Each edge's endpoints in the local numbering of the touched vertices.
-    _ends: tuple[tuple[int, int], ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
+    _ends: tuple[tuple[int, int], ...] = _derived(())
     # The number of vertices that some edge touches.
-    _touched: int = field(init=False, repr=False, compare=False, hash=False, default=0)
+    _touched: int = _derived(0)
 
     def __post_init__(self) -> None:
         if self.num_vertices < 0:
@@ -323,19 +322,15 @@ class GraphicMatroid(IndependenceOracle):
         for u, v in edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError(f"edge ({u},{v}) references missing vertex")
-        local: dict[int, int] = {}
-        ends = tuple(
-            (local.setdefault(u, len(local)), local.setdefault(v, len(local)))
-            for u, v in edges
-        )
-        object.__setattr__(self, "_ends", ends)
+        local = _numbering(chain.from_iterable(edges))
+        object.__setattr__(self, "_ends", tuple((local[u], local[v]) for u, v in edges))
         object.__setattr__(self, "_touched", len(local))
 
     def ground_size(self) -> int:
         return len(self.edges)
 
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != len(self.edges) or any(b not in (0, 1) for b in v):
+        if not self._is_vector(v):
             return False
         chosen = list(compress(range(len(v)), v))
         return len(_forest(self._ends, chosen, self._touched)) == len(chosen)
@@ -396,6 +391,9 @@ class BipartiteMatchings(IndependenceOracle):
     every integer of magnitude at most 2**53 exactly, so with 2C <= 2**53
     no operation rounds and the result is the exact optimum.
 
+    The constructor numbers the touched vertices of each side in increasing
+    order; the weight matrix has a row or column per such vertex only.
+
     numpy and scipy are imported inside maximize, after the checks above,
     so they load on the first call with a positive weight within the
     bound; every other system kind, and `shiftopt bench`, runs without
@@ -403,35 +401,36 @@ class BipartiteMatchings(IndependenceOracle):
     """
 
     graph: BipartiteGraph
+    # Edge endpoints numbered within each side's touched vertices, and their counts.
+    _ends: tuple[tuple[int, int], ...] = _derived(())
+    _shape: tuple[int, int] = _derived((0, 0))
+
+    def __post_init__(self) -> None:
+        edges = self.graph.edges
+        left = _numbering(l for l, _ in edges)
+        right = _numbering(r for _, r in edges)
+        object.__setattr__(self, "_ends", tuple((left[l], right[r]) for l, r in edges))
+        object.__setattr__(self, "_shape", (len(left), len(right)))
 
     def ground_size(self) -> int:
         return len(self.graph.edges)
 
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != len(self.graph.edges) or any(b not in (0, 1) for b in v):
+        if not self._is_vector(v):
             return False
-        used_l: set[int] = set()
-        used_r: set[int] = set()
-        for bit, (l, r) in zip(v, self.graph.edges):
-            if bit:
-                if l in used_l or r in used_r:
-                    return False
-                used_l.add(l)
-                used_r.add(r)
-        return True
+        chosen = list(compress(self.graph.edges, v))
+        return len(chosen) == len({l for l, _ in chosen}) == len({r for _, r in chosen})
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)
-        g = self.graph
-        d = len(g.edges)
         # Best strictly-positive parallel edge per (left, right) pair.
         best: dict[tuple[int, int], tuple[int, int]] = {}
-        for idx, (l, r) in enumerate(g.edges):
+        for idx, (l, r) in enumerate(self._ends):
             if w[idx] > 0:
                 cur = best.get((l, r))
                 if cur is None or w[idx] > cur[0]:
                     best[(l, r)] = (w[idx], idx)
-        s = [0] * d
+        s = [0] * len(w)
         if not best:
             return tuple(s)
         top = max(wt for wt, _ in best.values())
@@ -443,7 +442,7 @@ class BipartiteMatchings(IndependenceOracle):
         import numpy as np
         from scipy.optimize import linear_sum_assignment
 
-        weights = np.zeros((g.left, g.right), dtype=np.int64)
+        weights = np.zeros(self._shape, dtype=np.int64)
         for (l, r), (wt, _) in best.items():
             weights[l, r] = wt
         rows, cols = linear_sum_assignment(weights, maximize=True)
@@ -501,13 +500,8 @@ class LiftedOracle(IndependenceOracle):
         return tuple(tuple(w[i * self.n + j] for j in range(self.n)) for i in range(d))
 
     def contains(self, v: Sequence[int]) -> bool:
-        if len(v) != self.ground_size() or any(b not in (0, 1) for b in v):
-            return False
-        x = self._unflatten(v)
-        col_sum = tuple(sum(row) for row in x)
-        if any(m > 1 for m in col_sum):
-            return False
-        return self.base.contains(col_sum)
+        # The base rejects a column sum with an entry above 1.
+        return self._is_vector(v) and self.base.contains(tuple(map(sum, self._unflatten(v))))
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)

@@ -8,7 +8,8 @@ Three algorithms are provided, all deterministic:
 
 * constant_shifted -- for costs with nonincreasing rows; one greedy DUP run
   over the n-lift of S, kept as one congestion counter per element (at most
-  n oracle calls), gives ratio 1 - (1 - 1/n)^n >= 1 - 1/e.
+  n oracle calls) in the round loop greedy_dup runs, gives ratio
+  1 - (1 - 1/n)^n >= 1 - 1/e.
 * log_approx -- for arbitrary costs; one duplication level per power of two
   up to n, each level solving a DUP instance, expanding, and cleaning (the
   cleaned level is read off the round that first covered each element and
@@ -26,10 +27,10 @@ oracle call is exact because some optimal solution repeats a single column.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 
 from .core import (
     Matrix,
@@ -40,7 +41,7 @@ from .core import (
     dims,
     first_unshifted_row,
 )
-from .dup import greedy_dup, greedy_ratio
+from .dup import _lift_greedy, greedy_dup, greedy_ratio
 from .oracles import ExplicitSystem, IndependenceOracle, is_downward_closed
 
 
@@ -109,21 +110,24 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def _best_prefixes(c: Matrix, uses: Iterable[int]) -> tuple[list[int], list[int]]:
+    # Per row: the best sum of its first 0..uses entries (>= 0: the empty
+    # prefix counts, so the greedy never sees negative weights) and the
+    # smallest length that reaches it.
+    best, length = [], []
+    for row, u in zip(c, uses):
+        sums = list(accumulate(row[:u], initial=0))
+        top = max(sums)
+        best.append(top)
+        length.append(sums.index(top))
+    return best, length
+
+
 def potential_profit(c: Matrix, x: Matrix) -> PotentialProfile:
     """Best prefix profit and its smallest realizing congestion, per row."""
     if dims(c) != dims(x):
         raise ValueError(f"dimension mismatch: {dims(c)} vs {dims(x)}")
-    m = congestion(x)
-    profits = []
-    retained = []
-    for i, row in enumerate(c):
-        best, arg, run = 0, 0, 0
-        for length in range(1, m[i] + 1):
-            run += row[length - 1]
-            if run > best:
-                best, arg = run, length
-        profits.append(best)
-        retained.append(arg)
+    profits, retained = _best_prefixes(c, congestion(x))
     return PotentialProfile(tuple(profits), tuple(retained))
 
 
@@ -153,19 +157,6 @@ def clean(c: Matrix, x: Matrix) -> Matrix:
     return tuple(out)
 
 
-def _level_weights(c: Matrix, copies: int) -> tuple[list[int], list[int]]:
-    # Per element: the best profit from at most `copies` uses (>= 0: zero
-    # uses are allowed, so the greedy never sees negative weights) and the
-    # smallest number of uses that reaches it.
-    w, keep = [], []
-    for row in c:
-        sums = list(accumulate(row[:copies], initial=0))
-        best = max(sums)
-        w.append(best)
-        keep.append(sums.index(best))
-    return w, keep
-
-
 def level_candidate(
     oracle: IndependenceOracle,
     c: Matrix,
@@ -191,7 +182,7 @@ def level_candidate(
     if not (k >= 1 and copies >= 1 and k * copies <= n):
         raise ValueError(f"invalid level: k={k}, copies={copies}, n={n}")
     check_cost_shape(c, n, oracle.ground_size())
-    w, keep = _level_weights(c, copies)
+    w, keep = _best_prefixes(c, repeat(copies))
     sel = greedy_dup(oracle, k, w)
     zero = (0,) * n
     rows: list[Vector | None] = [None] * len(c)
@@ -208,15 +199,14 @@ def level_candidate(
 def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:
     """Constant-ratio algorithm for shifted (nonincreasing-row) costs.
 
-    The greedy DUP run over the n-lift of S, kept as one congestion counter
-    m[i] per element instead of the flattened (d*n)-element lift.  With
-    nonincreasing rows the covered lift cells of row i are always its first
-    m[i] cells, so its best uncovered cell is c[i][m[i]].  Round r weighs
-    element i by c[i][0] while uncovered, then by c[i][m[i]] while that
-    entry is positive, else 0, and asks the base oracle once; each selected
-    element with a real cell gets a 1 in output column r.  Rounds stop at
-    the first all-zero answer, so at most n oracle calls are made.  The
-    value is at least 1 - (1 - 1/n)^n >= 1 - 1/e times the optimum.
+    The greedy DUP over the n-lift of S: the DUP module's lift greedy with
+    cost row i as the cells of element i, over n rounds.  With
+    nonincreasing rows the covered lift cells of row i are always its
+    first m[i] cells, so one congestion counter per element stands in for
+    the (d*n)-element lift.  Output column r holds the elements round r
+    covered; rounds stop at the first all-zero answer, so at most n oracle
+    calls are made.  The value is at least 1 - (1 - 1/n)^n >= 1 - 1/e times
+    the optimum.
     Raises NotDownwardClosedError on an explicit system that is not
     downward closed.
     """
@@ -225,22 +215,8 @@ def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxRes
     bad = first_unshifted_row(c)
     if bad is not None:
         raise NotShiftedError(bad)
-    m = [0] * len(c)
-    w = [row[0] for row in c]
-    out = [[0] * n for _ in c]
-    for r in range(n):
-        s = oracle.maximize(w)
-        if not any(s):
-            break
-        for i in compress(range(len(c)), s):
-            # An explicit system may select an element whose weight is 0 only
-            # because its cells are used up; that selection covers nothing.
-            if m[i] == 0 or w[i] > 0:
-                out[i][r] = 1
-                mi = m[i] = m[i] + 1
-                w[i] = c[i][mi] if mi < n and c[i][mi] > 0 else 0
-    value = sum(sum(row[:mi]) for row, mi in zip(c, m))
-    return ApproxResult(tuple(map(tuple, out)), value, None, greedy_ratio(n))
+    cols, value = _lift_greedy(oracle, [row[0] for row in c], tuple(zip(*c)), n)
+    return ApproxResult(tuple(zip(*cols)), value, None, greedy_ratio(n))
 
 
 def _best_level(

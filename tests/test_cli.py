@@ -420,6 +420,41 @@ def test_solve_rejects_bipartite_weights_the_matching_solver_cannot_handle_exact
     assert f"value: {best}\n" in capsys.readouterr().out
 
 
+PARALLEL_EDGES = {
+    "version": 1,
+    "n": 2,
+    "c": [[3, 1], [2, 2], [5, 0]],
+    "system": {"kind": "bipartite", "left": 2, "right": 2, "edges": [[1, 1], [1, 1], [2, 2]]},
+}
+
+
+def test_solve_exact_on_bipartite_parallel_edges(tmp_path, capsys):
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(PARALLEL_EDGES))
+    for variant in ("exact", "shifted"):
+        assert main(["solve", str(path), "--variant", variant]) == 0
+        assert "value: 10\n" in capsys.readouterr().out
+
+
+def test_solve_bipartite_without_scipy_is_an_error_not_a_traceback(tmp_path):
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(PARALLEL_EDGES))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from shiftopt.cli import main\n"
+        f"raise SystemExit(main(['solve', {str(path)!r}, '--variant', 'shifted']))\n"
+    )
+    src = Path(shiftopt.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+
+
 def test_solve_deeply_nested_or_overlong_integer_files_are_parse_errors(tmp_path, capsys):
     for name, data in (("nested.json", b"[" * 100_000), ("digits.json", b"1" * 5000)):
         path = tmp_path / name

@@ -1,7 +1,8 @@
 import json
 import random
 import re
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +19,10 @@ from helpers import (
     random_instance_by_pairwise_scan,
     sco_first_optimum_by_multisets,
     sco_value_full_tuple_enum,
+    systems,
 )
 from shiftopt import (
+    BipartiteGraph,
     BipartiteMatchings,
     EnumerationBudgetExceeded,
     ExplicitSystem,
@@ -628,6 +631,31 @@ def test_explicit_members_materializes_matroids():
     )
     members = explicit_members(bip)
     assert len(members.vectors) == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems().filter(lambda s: not isinstance(s, ExplicitSystem)))
+@example(BipartiteMatchings(BipartiteGraph(2, 2, ((0, 0), (0, 0), (1, 1)))))
+def test_explicit_members_lists_what_contains_accepts(system):
+    # Bipartite systems drawn here may have parallel edges.
+    d = system.ground_size()
+    accepted = [v for v in product((0, 1), repeat=d) if system.contains(v)]
+    assert explicit_members(system).vectors == tuple(
+        sorted(accepted, key=lambda v: (sum(v), v))
+    )
+
+
+def test_explicit_members_memory_ignores_untouched_bipartite_vertices():
+    # One edge among 200,000 + 200,000 declared vertices: the enumeration
+    # must be sized by the matched vertices, not by the declared counts.
+    system = BipartiteMatchings(BipartiteGraph(200_000, 200_000, ((1500, 7),)))
+    tracemalloc.start()
+    try:
+        assert explicit_members(system).vectors == ((0,), (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_congestion_feasible_trivial_prescription():

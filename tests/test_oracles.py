@@ -394,6 +394,20 @@ def test_matching_parallel_edges():
     assert not oracle.contains((1, 1))
 
 
+def test_bipartite_per_call_memory_ignores_untouched_vertices():
+    # One edge among 2000 + 2000 declared vertices: the weight matrix must be
+    # sized by the two vertices the edge touches, not by the declared counts.
+    oracle = BipartiteMatchings(BipartiteGraph(2000, 2000, ((1500, 7),)))
+    assert oracle.maximize((3,)) == (1,)  # numpy and scipy load outside the trace
+    tracemalloc.start()
+    try:
+        assert oracle.maximize((3,)) == (1,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @st.composite
 def _weighted_bipartite(draw):
     left, right = draw(st.integers(1, 4)), draw(st.integers(1, 4))

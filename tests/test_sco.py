@@ -34,6 +34,7 @@ from shiftopt import (
     clean,
     constant_shifted,
     convex_identical,
+    greedy_dup,
     is_downward_closed,
     level_candidate,
     lift_maximize,
@@ -207,6 +208,28 @@ def test_constant_shifted_equals_round_rebuild_reference(instance):
     if not_closed(sys_):
         return
     assert constant_shifted(sys_, c, n) == constant_shifted_by_round_rebuild(sys_, c, n)
+
+
+@st.composite
+def dup_weights(draw):
+    sys_ = draw(systems().filter(lambda s: not not_closed(s)))
+    d = sys_.ground_size()
+    return sys_, draw(st.lists(st.integers(0, 8), min_size=d, max_size=d)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dup_weights())
+@example((ExplicitSystem(((),), downward_closed=True), [], 3))
+@example((UniformMatroid(0, 0), [], 1))
+@example((UniformMatroid(3, 2), [4, 0, 7], 1))
+@example((_ZERO_PICK, [0, 2], 2))
+def test_constant_shifted_on_dup_rows_equals_greedy_dup(case):
+    # DUP is the shifted problem with cost rows (w_i, 0, ..., 0).
+    sys_, w, k = case
+    res = constant_shifted(sys_, tuple((wi,) + (0,) * (k - 1) for wi in w), k)
+    sel = greedy_dup(sys_, k, w)
+    assert res.value == sel.value
+    assert res.solution == tuple(zip(*sel.columns))
 
 
 @settings(max_examples=300, deadline=None)
