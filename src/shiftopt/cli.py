@@ -10,8 +10,11 @@ Subcommands:
 Exit codes: 0 ok, 1 I/O, parse or missing-dependency error, 2 validation
 error (including a variant applied to an instance it does not support,
 such as an approximation variant on a system that is not downward closed,
-and a solution column outside the system), 3 bound violation detected by
-bench.
+a solution column outside the system, n above MAX_N in solve, bench and
+the gadgets that take or read an n, and an input too large for a
+recursive search), 3 bound violation detected by bench.  Subcommands
+raise; `main` is the one place that turns an error into a stderr line and
+an exit code.
 """
 
 from __future__ import annotations
@@ -51,17 +54,16 @@ from .sco import APPROX_VARIANTS, NotDownwardClosedError, convex_identical
 
 VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
-# The largest n that solve and bench accept: the exact search recurses once
-# per column, far below the default limit of 1000, and every printed bound
-# (about n log10 n digits) stays under the 4300-digit int-to-str limit.
+# The largest n that solve, bench and the gadgets accept: the exact search
+# recurses once per column, far below the default limit of 1000, and every
+# printed bound (about n log10 n digits) stays under the 4300-digit
+# int-to-str limit.
 MAX_N = 512
 
 
-def _too_many_columns(n: int) -> bool:
-    """Whether n exceeds MAX_N, saying so on stderr if it does."""
+def _check_columns(n: int) -> None:
     if n > MAX_N:
-        print(f"validation error: n = {n} exceeds the limit of {MAX_N} columns", file=sys.stderr)
-    return n > MAX_N
+        raise ValueError(f"n = {n} exceeds the limit of {MAX_N} columns")
 
 
 def _decimal(value: int) -> str:
@@ -78,55 +80,29 @@ def _decimal(value: int) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-def _read_instance(path: str) -> Instance | None:
-    """Parse the instance file at path; on failure print why and return None."""
-    try:
-        with open(path, "rb") as fh:
-            return parse(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except InstanceFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-    return None
+def _read_instance(path: str) -> Instance:
+    with open(path, "rb") as fh:
+        return parse(fh.read())
 
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.file)
-    if inst is None:
-        return 1
     c, n, system = inst.c, inst.n, inst.system
-    if _too_many_columns(n):
-        return 2
+    _check_columns(n)
     bound, level = Fraction(1), None
-    try:
-        if args.variant == "exact":
-            members = explicit_members(system, args.budget)
-            value, solution = brute_force_sco(members, c, n, args.budget)
-        elif args.variant == "convex":  # rows are increments of per-element value tables
-            tables = [tuple(accumulate(row, initial=0)) for row in c]
-            s, value = convex_identical(system, tables, n)
-            solution = tuple((b,) * n for b in s)
-        else:
-            res = APPROX_VARIANTS[args.variant][0](system, c, n)
-            value, solution, bound, level = res.value, res.solution, res.bound, res.level
-    except NotDownwardClosedError:
-        print(
-            f"validation error: explicit system is not downward closed; the {args.variant} "
-            "variant needs a downward-closed system (for a uniform-cardinality body, "
-            "lift it with `gadget lift-body`)",
-            file=sys.stderr,
-        )
-        return 2
-    except (ValueError, EnumerationBudgetExceeded) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except ImportError as exc:  # bipartite matchings need numpy and scipy
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.variant == "exact":
+        members = explicit_members(system, args.budget)
+        value, solution = brute_force_sco(members, c, n, args.budget)
+    elif args.variant == "convex":  # rows are increments of per-element value tables
+        tables = [tuple(accumulate(row, initial=0)) for row in c]
+        s, value = convex_identical(system, tables, n)
+        solution = tuple((b,) * n for b in s)
+    else:
+        res = APPROX_VARIANTS[args.variant][0](system, c, n)
+        value, solution, bound, level = res.value, res.solution, res.bound, res.level
     for j, col in enumerate(columns(solution), 1):
         if not system.contains(col):
-            print(f"validation error: solution column {j} is not in the system", file=sys.stderr)
-            return 2
+            raise ValueError(f"solution column {j} is not in the system")
 
     print(f"variant: {args.variant}")
     print(f"value: {_decimal(value)}")
@@ -153,10 +129,8 @@ def _bench_variants(n: int, shifted: bool) -> list[str]:
 
 def _cmd_bench(args) -> int:
     if args.trials < 1:
-        print("validation error: --trials must be >= 1", file=sys.stderr)
-        return 2
-    if _too_many_columns(args.n):
-        return 2
+        raise ValueError("--trials must be >= 1")
+    _check_columns(args.n)
     variants = _bench_variants(args.n, args.shifted)
     rows = []
     min_ratio: dict[str, Fraction | None] = dict.fromkeys(variants)
@@ -164,18 +138,14 @@ def _cmd_bench(args) -> int:
     skipped = 0
     for trial in range(args.trials):
         inst_seed = args.seed + trial
-        try:
-            inst = random_instance(
-                inst_seed,
-                d=args.d,
-                n=args.n,
-                set_size=args.set_size,
-                cost_range=args.cost_range,
-                shifted=args.shifted,
-            )
-        except ValueError as exc:
-            print(f"validation error: {exc}", file=sys.stderr)
-            return 2
+        inst = random_instance(
+            inst_seed,
+            d=args.d,
+            n=args.n,
+            set_size=args.set_size,
+            cost_range=args.cost_range,
+            shifted=args.shifted,
+        )
         head = [inst_seed, args.d, args.n, args.set_size]
         try:
             opt, _ = brute_force_sco(inst.system, inst.c, inst.n, args.budget)
@@ -198,16 +168,12 @@ def _cmd_bench(args) -> int:
                 [*head, variant, res.value, opt, ratio, res.bound, "true" if violated else "false"]
             )
 
-    try:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["seed", "d", "n", "set_size", "variant", "apx", "opt", "ratio", "bound", "violated"]
-            )
-            writer.writerows(rows)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["seed", "d", "n", "set_size", "variant", "apx", "opt", "ratio", "bound", "violated"]
+        )
+        writer.writerows(rows)
 
     for variant in variants:
         low = min_ratio[variant]
@@ -256,65 +222,58 @@ def _lifted(inst: Instance, system, card: int) -> Instance:
 
 
 def _cmd_gadget(args) -> int:
-    try:
-        if args.kind == "independent-set":
-            graph = Graph(args.vertices, _split(args.edges, ",", _edge, "edge list"))
-            inst = independent_set_gadget(graph, args.n)
-        elif args.kind == "coloring":
-            graph = Graph(args.vertices, _split(args.edges, ",", _edge, "edge list"))
-            pc = coloring_gadget(graph)
-            body = perfect_matchings(graph)
-            if not body:
-                raise ValueError("graph has no perfect matching")
-            inst = _prescribed(
-                ExplicitSystem(body, downward_closed=False),
-                pc,
-                "perfect matchings of a cubic graph; target met iff "
-                "two edge-disjoint perfect matchings exist",
-            )
-        elif args.kind == "hexagon":
-            family = _split(
-                args.sets, ";", lambda p: tuple(int(v) - 1 for v in p.split(",")), "set family"
-            )
-            bgraph, pc = hexagon_gadget(family, args.k)
-            system = BipartiteMatchings(bgraph)
-            inst = _prescribed(
-                system,
-                pc,
-                "hexagon gadget over bipartite matchings; target met "
-                "iff an exact cover by the given 3-sets exists",
-            )
-            inst = _lifted(inst, system, (bgraph.left + bgraph.right) // 2)
-        elif args.kind == "congestion":
-            sets = _split(
-                args.sets, ";", lambda p: frozenset(map(int, p.split(","))), "congestion set list"
-            )
-            pc = PrescribedCongestion(args.n, sets)
-            d = len(pc.sets)
-            inst = _prescribed(
-                UniformMatroid(d, d if args.rank is None else args.rank),
-                pc,
-                "prescribed congestion over a uniform matroid; "
-                "target met iff the prescription is feasible",
-            )
-        else:  # lift-body
-            body = _read_instance(args.body)
-            if body is None:
-                return 1
-            if not isinstance(body.system, ExplicitSystem):
-                raise ValueError("lift-body needs an instance with an explicit system")
-            closure, _ = body_to_system(body.system, body.c)
-            inst = _lifted(body, closure, sum(body.system.vectors[0]))
-    except (ValueError, EnumerationBudgetExceeded) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+    if args.kind == "independent-set":
+        _check_columns(args.n)
+        graph = Graph(args.vertices, _split(args.edges, ",", _edge, "edge list"))
+        inst = independent_set_gadget(graph, args.n)
+    elif args.kind == "coloring":
+        graph = Graph(args.vertices, _split(args.edges, ",", _edge, "edge list"))
+        pc = coloring_gadget(graph)
+        body = perfect_matchings(graph)
+        if not body:
+            raise ValueError("graph has no perfect matching")
+        inst = _prescribed(
+            ExplicitSystem(body, downward_closed=False),
+            pc,
+            "perfect matchings of a cubic graph; target met iff "
+            "two edge-disjoint perfect matchings exist",
+        )
+    elif args.kind == "hexagon":
+        family = _split(
+            args.sets, ";", lambda p: tuple(int(v) - 1 for v in p.split(",")), "set family"
+        )
+        bgraph, pc = hexagon_gadget(family, args.k)
+        system = BipartiteMatchings(bgraph)
+        inst = _prescribed(
+            system,
+            pc,
+            "hexagon gadget over bipartite matchings; target met "
+            "iff an exact cover by the given 3-sets exists",
+        )
+        inst = _lifted(inst, system, (bgraph.left + bgraph.right) // 2)
+    elif args.kind == "congestion":
+        _check_columns(args.n)
+        sets = _split(
+            args.sets, ";", lambda p: frozenset(map(int, p.split(","))), "congestion set list"
+        )
+        pc = PrescribedCongestion(args.n, sets)
+        d = len(pc.sets)
+        inst = _prescribed(
+            UniformMatroid(d, d if args.rank is None else args.rank),
+            pc,
+            "prescribed congestion over a uniform matroid; "
+            "target met iff the prescription is feasible",
+        )
+    else:  # lift-body
+        body = _read_instance(args.body)
+        _check_columns(body.n)
+        if not isinstance(body.system, ExplicitSystem):
+            raise ValueError("lift-body needs an instance with an explicit system")
+        closure, _ = body_to_system(body.system, body.c)
+        inst = _lifted(body, closure, sum(body.system.vectors[0]))
 
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(serialize(inst))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with open(args.out, "wb") as fh:
+        fh.write(serialize(inst))
     print(f"wrote {args.out}")
     return 0
 
@@ -387,7 +346,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NotDownwardClosedError:  # only solve runs a variant on a user's system
+        message, code = (
+            f"validation error: explicit system is not downward closed; the {args.variant} "
+            "variant needs a downward-closed system (for a uniform-cardinality body, "
+            "lift it with `gadget lift-body`)"
+        ), 2
+    except InstanceFormatError as exc:
+        message, code = f"parse error: {exc}", 1
+    except (OSError, ImportError) as exc:  # bipartite matchings need numpy and scipy
+        message, code = f"error: {exc}", 1
+    except (ValueError, EnumerationBudgetExceeded) as exc:
+        message, code = f"validation error: {exc}", 2
+    except RecursionError:  # the exact and perfect-matching searches recurse per edge
+        message, code = (
+            "validation error: input too large for a recursive search "
+            "(maximum recursion depth exceeded)"
+        ), 2
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

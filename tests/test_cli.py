@@ -543,6 +543,77 @@ def test_bench_rejects_more_than_512_columns_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["congestion", "--n", "513", "--sets", "0,1;0,600"],
+        ["independent-set", "--n", "513", "--vertices", "2", "--edges", "1-2"],
+        ["lift-body", "--body", "{tmp}/body.json"],
+    ],
+    ids=["congestion", "independent-set", "lift-body"],
+)
+def test_gadget_rejects_more_than_512_columns_before_any_work(tmp_path, capsys, argv):
+    body = {"version": 1, "system": {"kind": "explicit", "vectors": ["1"]}, "n": 513,
+            "c": [[0] * 513]}
+    write_document(tmp_path, body, "body.json")
+    out = tmp_path / "gadget.json"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(["gadget", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: n = 513 exceeds the limit of 512 columns\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, variant",
+    [
+        (["congestion", "--n", "512", "--sets", "0,1;0,512"], "log"),
+        (["independent-set", "--n", "512", "--vertices", "2", "--edges", "1-2"], "exact"),
+    ],
+    ids=["congestion", "independent-set"],
+)
+def test_gadget_files_at_512_columns_are_solved(tmp_path, capsys, argv, variant):
+    out = tmp_path / "gadget.json"
+    assert main(["gadget", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert main(["solve", str(out), "--variant", variant]) == 0
+    assert capsys.readouterr().out.startswith(f"variant: {variant}\nvalue: ")
+
+
+RECURSION_ERROR = (
+    "validation error: input too large for a recursive search "
+    "(maximum recursion depth exceeded)\n"
+)
+
+
+def test_solve_exact_on_a_1200_edge_bipartite_star_is_a_validation_error(tmp_path, capsys):
+    # 1201 matchings, far under the budget, but the search recurses once per edge.
+    doc = {"version": 1, "n": 1, "c": [[1]] * 1200, "system": {
+        "kind": "bipartite", "left": 1, "right": 1200,
+        "edges": [[1, j] for j in range(1, 1201)]}}
+    assert main(["solve", write_document(tmp_path, doc), "--variant", "exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == RECURSION_ERROR
+
+
+def test_gadget_coloring_of_a_2200_vertex_prism_is_a_validation_error(tmp_path, capsys):
+    # The cubic prism C_1100 x K_2: perfect_matchings recurses once per matched pair.
+    m = 1100
+    edges = []
+    for i in range(1, m + 1):
+        edges += [(i, i % m + 1), (m + i, m + i % m + 1), (i, m + i)]
+    out = tmp_path / "prism.json"
+    argv = ["gadget", "coloring", "--vertices", str(2 * m), "--out", str(out),
+            "--edges", ",".join(f"{u}-{v}" for u, v in edges)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == RECURSION_ERROR
+    assert not out.exists()
+
+
 def huge_value_document(d: int) -> bytes:
     """A uniform matroid of rank d with d costs of 4299 nines, n = 1: each
     cost parses under the interpreter's 4300-digit limit, and for d >= 11
@@ -594,6 +665,59 @@ def test_solve_exits_0_1_or_2_on_every_variant_and_never_raises(document):
         path.write_bytes(document)
         for variant in ("shifted", "log", "small-n", "convex", "exact"):
             assert main(["solve", str(path), "--variant", variant]) in (0, 1, 2)
+
+
+EDGE_LISTS = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=9
+).map(lambda edges: ",".join(f"{u}-{v}" for u, v in edges)) | st.sampled_from(
+    ["", " , ", "1-2-3", "1-", "-1-2", "a-b", "1-2,,2-3", "1-2,1-3,1-4,2-3,2-4,3-4"]
+)
+SET_LISTS = st.lists(
+    st.lists(st.integers(0, 9), min_size=2, max_size=4), max_size=3
+).map(lambda family: ";".join(",".join(map(str, s)) for s in family)) | st.sampled_from(
+    [";", "1,,2", "-1,2,3", "x", "1,2,3", "1,2,3;4,5,6;1,4,5"]
+)
+SMALL = st.integers(-2, 8)
+COLUMNS = st.sampled_from([-1, 0, 1, 2, 3, 4, 512, 513])
+
+
+@st.composite
+def gadget_argvs(draw):
+    """argv for every gadget kind, with small or malformed vertex counts, edge
+    and set lists, --k, --n and --rank, and the document lift-body reads from
+    --body (None for no file); options are passed as --name=value, so that a
+    value may start with '-', and "{tmp}" stands for a temporary directory."""
+    kind = draw(st.sampled_from(
+        ["independent-set", "coloring", "hexagon", "congestion", "lift-body"]
+    ))
+    options = {}
+    if kind in ("independent-set", "coloring"):
+        options = {"vertices": draw(SMALL), "edges": draw(EDGE_LISTS)}
+    if kind in ("independent-set", "congestion"):
+        options["n"] = draw(COLUMNS)
+    if kind in ("hexagon", "congestion"):
+        options["sets"] = draw(SET_LISTS)
+    if kind == "hexagon":
+        options["k"] = draw(SMALL)
+    if kind == "congestion" and draw(st.booleans()):
+        options["rank"] = draw(SMALL)
+    body = None
+    if kind == "lift-body":
+        body = draw(instance_documents() | st.sampled_from([b"", b"{", None]))
+        options["body"] = "{tmp}/body.json"
+    return [kind, *(f"--{name}={value}" for name, value in options.items())], body
+
+
+@settings(max_examples=300, deadline=None)
+@given(gadget_argvs(), st.booleans())
+def test_gadget_exits_0_1_or_2_on_every_kind_and_never_raises(argv_and_body, out_is_a_directory):
+    argv, body = argv_and_body
+    with tempfile.TemporaryDirectory() as tmp:
+        if body is not None:
+            Path(tmp, "body.json").write_bytes(body)
+        out = tmp if out_is_a_directory else str(Path(tmp, "gadget.json"))
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        assert main(["gadget", *argv, f"--out={out}"]) in (0, 1, 2)
 
 
 # Run in a fresh interpreter, so that no other test has imported numpy or
