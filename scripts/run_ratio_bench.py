@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Sweep random-instance benchmarks and summarize observed vs. proven ratios.
+"""Sweep random-instance benchmarks over several configurations.
 
-Each configuration writes a CSV (same format as `shiftopt bench`) into the
-output directory and contributes one summary row per algorithm variant.
+Each configuration prints a `config <tag>` line, then runs `shiftopt bench`,
+which writes its CSV into the output directory and prints, per algorithm
+variant, the minimum observed ratio, the proven bound and the violations.
+The exit status is 1 if any configuration's bench failed.
 
 Usage: python3 scripts/run_ratio_bench.py [--trials 200] [--seed 0] [--out-dir results]
 """
@@ -10,9 +12,7 @@ Usage: python3 scripts/run_ratio_bench.py [--trials 200] [--seed 0] [--out-dir r
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from shiftopt.cli import main as cli_main
@@ -32,10 +32,10 @@ CONFIGS = [
 
 def run(trials: int, seed: int, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary: list[tuple[str, str, str, str, int]] = []
     failures = 0
     for n, shifted, d, set_size, cost_range in CONFIGS:
         tag = f"n{n}_{'shifted' if shifted else 'general'}"
+        print(f"config {tag}", flush=True)
         out = out_dir / f"bench_{tag}.csv"
         code = cli_main(
             [
@@ -51,23 +51,6 @@ def run(trials: int, seed: int, out_dir: Path) -> int:
             ]
         )
         failures += code != 0
-        with open(out, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for variant in sorted({r["variant"] for r in rows}):
-            ratios = [
-                Fraction(r["ratio"])
-                for r in rows
-                if r["variant"] == variant and r["ratio"] not in ("", "skipped")
-            ]
-            bound = Fraction(next(r["bound"] for r in rows if r["variant"] == variant))
-            min_ratio = f"{float(min(ratios)):.4f}" if ratios else "n/a"
-            violated = sum(r["violated"] == "true" for r in rows if r["variant"] == variant)
-            summary.append((tag, variant, min_ratio, f"{float(bound):.4f}", violated))
-
-    width = max(len(s[0]) for s in summary)
-    print(f"{'config':<{width}}  {'variant':<8}  {'min ratio':>9}  {'bound':>7}  violations")
-    for tag, variant, min_ratio, bound, violated in summary:
-        print(f"{tag:<{width}}  {variant:<8}  {min_ratio:>9}  {bound:>7}  {violated}")
     return 1 if failures else 0
 
 

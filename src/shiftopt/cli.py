@@ -233,7 +233,7 @@ def _cmd_gadget(args) -> int:
         if not body:
             raise ValueError("graph has no perfect matching")
         inst = _prescribed(
-            ExplicitSystem(body, downward_closed=False),
+            ExplicitSystem(body),
             pc,
             "perfect matchings of a cubic graph; target met iff "
             "two edge-disjoint perfect matchings exist",
@@ -367,7 +367,3 @@ def main(argv: list[str] | None = None) -> int:
         ), 2
     print(message, file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

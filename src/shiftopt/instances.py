@@ -286,13 +286,19 @@ def body_to_system(T: ExplicitSystem, c: Matrix) -> tuple[ExplicitSystem, Matrix
 
     Adding 2|c| + 1 to every entry makes every optimizer over the closure
     use only maximum-cardinality columns, i.e. members of the body, and
-    preserves the ranking of body solutions.
+    preserves the ranking of body solutions.  The closure has at most
+    min(|T| 2^card, 2^d) members (card ones per body vector, d elements);
+    when that exceeds DEFAULT_BUDGET, EnumerationBudgetExceeded is raised
+    before anything is built.
     """
     cards = {sum(v) for v in T.vectors}
     if len(cards) != 1:
         raise ValueError("body vectors must all have the same number of ones")
     # Costs of any width n >= 1 fit a body; only the rows must match it.
-    check_cost_shape(c, dims(c)[1] or 1, T.ground_size())
+    d = T.ground_size()
+    check_cost_shape(c, dims(c)[1] or 1, d)
+    card = cards.pop()
+    _check_budget(min(len(T.vectors) * 2**card, 2**d), DEFAULT_BUDGET, "body closure")
     return ExplicitSystem.closed(T.vectors), bump_costs(c)[1]
 
 
@@ -354,7 +360,7 @@ def independent_set_gadget(graph: Graph, n: int) -> Instance:
     stars = dict.fromkeys(
         tuple(1 if v in e else 0 for e in graph.edges) for v in range(graph.num_vertices)
     )
-    system = ExplicitSystem(tuple(stars), downward_closed=False)
+    system = ExplicitSystem(tuple(stars))
     c = tuple((0,) + (-1,) * (n - 1) for _ in range(d))
     meta = Meta(
         target=0,
@@ -501,29 +507,18 @@ def all_matchings(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[Vector, .
 
 
 def exact_cover_exists(sets: Sequence[Iterable[int]], k: int) -> bool:
-    """Decide by subfamily enumeration whether some pairwise disjoint
-    subfamily covers {0..k-1} exactly."""
-    masks = []
+    """Decide whether some pairwise disjoint subfamily covers {0..k-1}
+    exactly, by growing the set of unions of pairwise disjoint subfamilies
+    one given set at a time (never more than 2^k unions, nor 2^m for m sets)."""
+    reach = {0}
     for f in sets:
         mask = 0
         for e in f:
             if not 0 <= e < k:
                 raise ValueError(f"element {e} outside 0..{k - 1}")
             mask |= 1 << e
-        masks.append(mask)
-    full = (1 << k) - 1
-    for sub in range(1 << len(masks)):
-        union = 0
-        ok = True
-        for i, mask in enumerate(masks):
-            if sub >> i & 1:
-                if union & mask:
-                    ok = False
-                    break
-                union |= mask
-        if ok and union == full:
-            return True
-    return False
+        reach |= {r | mask for r in reach if not r & mask}
+    return (1 << k) - 1 in reach
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +572,7 @@ def random_instance(
         tuple(
             tuple(map(int, format(m, f"0{d}b")))
             for m in sorted(members, key=lambda m: (m.bit_count(), m))
-        ),
-        downward_closed=True,
+        )
     )
     rows = []
     for _ in range(d):
@@ -600,9 +594,7 @@ def explicit_members(system: SystemSpec, budget: int = DEFAULT_BUDGET) -> Explic
         d = system.ground_size()
         _check_budget(2**d, budget, "membership enumeration")
         vecs = tuple(v for v in product((0, 1), repeat=d) if system.contains(v))
-    return ExplicitSystem(
-        tuple(sorted(vecs, key=lambda v: (sum(v), v))), downward_closed=True
-    )
+    return ExplicitSystem(tuple(sorted(vecs, key=lambda v: (sum(v), v))))
 
 
 def serialize(instance: Instance) -> bytes:

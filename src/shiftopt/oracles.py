@@ -23,7 +23,13 @@ def _derived(default):
 
 
 class IndependenceOracle:
-    """Behavioral contract: maximize(w) returns s in S with w . s maximal."""
+    """Behavioral contract: maximize(w) returns s in S with w . s maximal.
+
+    downward_closed tells whether S is closed under taking subsets; the
+    matroids and matchings here are by definition.
+    """
+
+    downward_closed = True
 
     def ground_size(self) -> int:
         raise NotImplementedError
@@ -122,8 +128,9 @@ def is_downward_closed(vectors: Iterable[Sequence[int]]) -> bool:
 class ExplicitSystem(IndependenceOracle):
     """A system given as an explicit list of distinct 0/1 vectors.
 
-    With downward_closed=True the constructor verifies closure (hence the
-    zero vector is present).  Ties in maximize break by list order, so the
+    The constructor works out downward_closed from the members; passing
+    downward_closed=True asserts it and raises ValueError on members that
+    are not closed.  Ties in maximize break by list order, so the
     stored order is significant and preserved by serialization.  A vector
     may be given as a sequence of 0/1 entries or as bytes of 0/1 values;
     it is stored as a tuple of ints.
@@ -155,8 +162,10 @@ class ExplicitSystem(IndependenceOracle):
             raise ValueError("explicit system vectors must be distinct")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_member_set", frozenset(vecs))
-        if self.downward_closed and not _closed(mask_set):
+        closed = _closed(mask_set)
+        if self.downward_closed and not closed:
             raise ValueError("system flagged downward_closed is not closed")
+        object.__setattr__(self, "downward_closed", closed)
         nodes = {0}
         for m in masks:
             while m not in nodes:
@@ -173,7 +182,7 @@ class ExplicitSystem(IndependenceOracle):
     @classmethod
     def closed(cls, vectors: Iterable[Sequence[int]]) -> "ExplicitSystem":
         """Build the downward closure of the given vectors."""
-        return cls(down_close(vectors), downward_closed=True)
+        return cls(down_close(vectors))
 
     def ground_size(self) -> int:
         return len(self.vectors[0])
@@ -491,6 +500,12 @@ class LiftedOracle(IndependenceOracle):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
+
+    @property
+    def downward_closed(self) -> bool:
+        # Removing a one lowers one entry of the column-sum vector, so the
+        # lift is closed exactly when its base is.
+        return self.base.downward_closed
 
     def ground_size(self) -> int:
         return self.base.ground_size() * self.n

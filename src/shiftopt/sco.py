@@ -18,8 +18,9 @@ Three algorithms are provided, all deterministic:
 * small_n_approx -- sharper level sets for n in {2, 3, 4} with proven
   ratios 3/5, 19/42 and 2625/6692.
 
-All three need a downward-closed system and raise NotDownwardClosedError on
-an explicit system that is not.
+All three need a downward-closed system and raise NotDownwardClosedError,
+before any oracle call, on a system whose downward_closed attribute is
+false (an explicit list that is not closed, or a lift of one).
 
 convex_identical handles the separable-convex generalization, where one
 oracle call is exact because some optimal solution repeats a single column.
@@ -42,7 +43,7 @@ from .core import (
     first_unshifted_row,
 )
 from .dup import _lift_greedy, greedy_dup, greedy_ratio
-from .oracles import ExplicitSystem, IndependenceOracle, is_downward_closed
+from .oracles import IndependenceOracle
 
 
 class NotShiftedError(ValueError):
@@ -54,8 +55,8 @@ class NotShiftedError(ValueError):
 
 
 class NotDownwardClosedError(ValueError):
-    """Raised when an algorithm that needs a downward-closed system gets an
-    explicit system that is not downward closed."""
+    """Raised when an algorithm that needs a downward-closed system gets a
+    system that is not downward closed."""
 
     def __init__(self, algorithm: str) -> None:
         super().__init__(
@@ -65,13 +66,7 @@ class NotDownwardClosedError(ValueError):
 
 
 def _require_closed(oracle: IndependenceOracle, algorithm: str) -> None:
-    # Only explicit systems can fail closure; one flagged closed was checked
-    # by its constructor, so only an unflagged one is checked here.
-    if (
-        isinstance(oracle, ExplicitSystem)
-        and not oracle.downward_closed
-        and not is_downward_closed(oracle.vectors)
-    ):
+    if not oracle.downward_closed:
         raise NotDownwardClosedError(algorithm)
 
 
@@ -207,8 +202,7 @@ def constant_shifted(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxRes
     covered; rounds stop at the first all-zero answer, so at most n oracle
     calls are made.  The value is at least 1 - (1 - 1/n)^n >= 1 - 1/e times
     the optimum.
-    Raises NotDownwardClosedError on an explicit system that is not
-    downward closed.
+    Raises NotDownwardClosedError on a system that is not downward closed.
     """
     _require_closed(oracle, "constant_shifted")
     check_cost_shape(c, n, oracle.ground_size())
@@ -245,7 +239,7 @@ def log_approx(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:
     weights give each element its best profit from at most that many
     copies.  The best cleaned level is returned with ratio
     greedy_ratio(n) / (4 ceil(log2 n) + 8).  Raises NotDownwardClosedError
-    on an explicit system that is not downward closed.
+    on a system that is not downward closed.
     """
     _require_closed(oracle, "log_approx")
     levels = [(max(n >> l, 1), min(1 << l, n)) for l in range(ceil_log2(n) + 1)]
@@ -284,7 +278,7 @@ def small_n_approx(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResul
     n=2 runs levels (k=2, 1 copy) and (k=1, 2 copies); n=3 runs (3, 1) and
     (1, 3), duplicating the single column three times; n=4 runs (4, 1),
     (2, 2) and (1, 4).  k=1 levels are exact single oracle calls.  Raises
-    NotDownwardClosedError on an explicit system that is not downward closed.
+    NotDownwardClosedError on a system that is not downward closed.
     """
     _require_closed(oracle, "small_n_approx")
     if n not in _SMALL_N_LEVELS:

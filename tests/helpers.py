@@ -265,6 +265,31 @@ def congestion_feasible_by_tuples(vectors, pc) -> bool:
     )
 
 
+def exact_cover_by_subfamilies(sets, k: int) -> bool:
+    """Exact cover by checking every one of the 2^m subfamilies of the m sets."""
+    masks = []
+    for f in sets:
+        mask = 0
+        for e in f:
+            if not 0 <= e < k:
+                raise ValueError(f"element {e} outside 0..{k - 1}")
+            mask |= 1 << e
+        masks.append(mask)
+    full = (1 << k) - 1
+    for sub in range(1 << len(masks)):
+        union = 0
+        ok = True
+        for i, mask in enumerate(masks):
+            if sub >> i & 1:
+                if union & mask:
+                    ok = False
+                    break
+                union |= mask
+        if ok and union == full:
+            return True
+    return False
+
+
 def equivalents_of_power(system: ExplicitSystem, n: int) -> set:
     """All 0/1 matrices row-equivalent to some matrix with every column in
     the system, by full enumeration (use only for tiny d and n)."""

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from shiftopt import (
     serialize,
 )
 from shiftopt.cli import main
-from shiftopt.sco import APPROX_VARIANTS, ApproxResult
+from shiftopt.sco import APPROX_VARIANTS, ApproxResult, log_approx
 
 
 def write_instance(tmp_path, inst, name="inst.json"):
@@ -326,6 +327,95 @@ def test_gadget_lift_body_file_is_golden(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "702a149658ae61369e50b31f985bf4c2322b43119eb69385a7991c4f5da9ee5d"
     )
+
+
+def test_gadget_lift_body_refuses_a_closure_above_the_budget(tmp_path, capsys):
+    from shiftopt import ExplicitSystem, Instance
+
+    # One body vector of 24 ones: its closure would have 2^24 members.
+    body = Instance(ExplicitSystem(((1,) * 24,)), 1, ((0,),) * 24)
+    body_path = write_instance(tmp_path, body, "body.json")
+    out = tmp_path / "lifted.json"
+    start = time.perf_counter()
+    assert main(["gadget", "lift-body", "--body", body_path, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == (
+        "validation error: body closure: 16777216 candidates exceed budget 10000000\n"
+    )
+    assert not out.exists()
+
+
+def _bench(tmp_path, *options):
+    return [
+        "bench", "--d", "5", "--n", "3", "--set-size", "12", "--cost-range", "7",
+        "--seed", "2024", "--out", str(tmp_path / "run.csv"), *options,
+    ]
+
+
+def _log_bound_one(monkeypatch):
+    # The log variant claims ratio 1, which it misses on some trials.
+    ratio = APPROX_VARIANTS["log"][1]
+    monkeypatch.setitem(
+        APPROX_VARIANTS,
+        "log",
+        (lambda oracle, c, n: replace(log_approx(oracle, c, n), bound=Fraction(1)), ratio),
+    )
+
+
+def _too_many_rows(tmp_path):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({
+        "version": 1, "n": 2, "c": [[3, 1], [2, 2], [1, 1]],
+        "system": {"kind": "explicit", "vectors": ["00", "10", "01"]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [
+        (
+            lambda tmp, mp: _bench(tmp, "--shifted", "false", "--trials", "10"),
+            0,
+            "out",
+            "variant=log trials=10 min_ratio=0.736842 bound=0.043981 violations=0 skipped=0\n"
+            "variant=small-n trials=10 min_ratio=0.736842 bound=0.452381 violations=0 skipped=0\n",
+        ),
+        (
+            lambda tmp, mp: _log_bound_one(mp) or _bench(tmp, "--shifted", "true", "--trials", "10"),
+            3,
+            "err",
+            "bound violations detected: 6\n",
+        ),
+        (
+            lambda tmp, mp: _bench(tmp, "--shifted", "true", "--trials", "0"),
+            2,
+            "err",
+            "validation error: --trials must be >= 1\n",
+        ),
+        (
+            lambda tmp, mp: _bench(tmp, "--shifted", "maybe", "--trials", "10"),
+            2,
+            "err",
+            "argument --shifted: expected true/false, got 'maybe'\n",
+        ),
+        (
+            lambda tmp, mp: ["solve", _too_many_rows(tmp), "--variant", "log"],
+            1,
+            "err",
+            "parse error: cost matrix has 3 rows, oracle ground size 2\n",
+        ),
+    ],
+    ids=["bench-shifted-false", "bench-violation", "bench-no-trials", "bench-shifted-maybe",
+         "solve-cost-rows"],
+)
+def test_documented_exit_codes_and_messages(tmp_path, capsys, monkeypatch, argv, code, stream, text):
+    try:
+        status = main(argv(tmp_path, monkeypatch))
+    except SystemExit as exc:  # argparse rejects an option value
+        status = exc.code
+    assert status == code
+    assert getattr(capsys.readouterr(), stream).endswith(text)
 
 
 def test_bench_summary_lines_for_the_criterion_10_configuration(tmp_path, capsys):

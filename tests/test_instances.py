@@ -12,6 +12,7 @@ from helpers import (
     congestion_feasible_by_tuples,
     costs,
     dup_first_optimum_by_disjoint_recursion,
+    exact_cover_by_subfamilies,
     generalized_value_by_tuples,
     rand_binary,
     rand_closed_system,
@@ -326,6 +327,14 @@ def test_body_optimum_attained_in_body():
         assert opt_b == opt_c_over_T + bump * n * k
 
 
+def test_body_closure_above_the_budget_is_refused_before_it_is_built():
+    # One body vector of 24 ones has a closure of 2^24 members; only the
+    # estimate min(|T| 2^24, 2^24) is computed.
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        body_to_system(ExplicitSystem(((1,) * 24,)), ((0,),) * 24)
+    assert str(info.value) == "body closure: 16777216 candidates exceed budget 10000000"
+
+
 # --- gadgets
 
 
@@ -352,6 +361,20 @@ def test_independent_set_gadget_dedups_equal_stars():
     single_edge = Graph(2, ((0, 1),))
     inst = independent_set_gadget(single_edge, 2)
     assert len(inst.system.vectors) == 1
+
+
+def test_independent_set_gadget_file_records_the_computed_closure():
+    # Vertices 1 and 2 share the star (1) and vertex 3 has the empty star,
+    # so the members {(1), (0)} are closed, and the file says so.
+    inst = independent_set_gadget(Graph(3, ((0, 1),)), 2)
+    assert inst.system.vectors == ((1,), (0,))
+    data = json.loads(serialize(inst))
+    assert data["system"]["downward_closed"] is True
+    assert parse(serialize(inst)) == inst
+    # The other gadgets' star systems are not closed.
+    assert json.loads(serialize(independent_set_gadget(PATH3, 2)))["system"][
+        "downward_closed"
+    ] is False
 
 
 def hexagon_feasible(sets, k):
@@ -440,6 +463,37 @@ def test_exact_cover_exists():
     assert exact_cover_exists([(0, 1, 2)], 3)
     assert not exact_cover_exists([(0, 1, 2), (2, 3, 4)], 6)
     assert exact_cover_exists([(0, 1, 2), (3, 4, 5), (1, 2, 3)], 6)
+
+
+@st.composite
+def set_families(draw):
+    """k and up to 8 sets over 0..k-1; with out_of_range, elements -1 and k too."""
+    k = draw(st.integers(0, 8))
+    out_of_range = draw(st.booleans())
+    if out_of_range:
+        one_set = st.lists(st.integers(-1, k), max_size=4)
+    else:
+        one_set = st.lists(st.integers(0, k - 1), max_size=4) if k else st.just([])
+    return draw(st.lists(one_set, max_size=8)), k
+
+
+def _cover_outcome(decide, sets, k):
+    try:
+        return decide(sets, k)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(set_families())
+@example(([], 0))
+@example(([[0, 1], [2], [1, 2], [0]], 3))
+@example(([[0, 1], [1, 2], [], [0, 1]], 3))
+def test_exact_cover_matches_the_subfamily_enumeration(family):
+    sets, k = family
+    assert _cover_outcome(exact_cover_exists, sets, k) == _cover_outcome(
+        exact_cover_by_subfamilies, sets, k
+    )
 
 
 # --- random instances and the file format
@@ -662,3 +716,82 @@ def test_congestion_feasible_trivial_prescription():
     sys_ = rand_closed_system(random.Random(10), 4, 8)
     pc = PrescribedCongestion(2, tuple(frozenset({0, 1, 2}) for _ in range(4)))
     assert congestion_feasible(sys_.vectors, pc)
+
+
+_DOCUMENT = {
+    "version": 1,
+    "n": 2,
+    "c": [[3, 1], [2, 2]],
+    "system": {"kind": "explicit", "vectors": ["00", "10", "01"]},
+}
+
+
+def _parse_with(**change):
+    return lambda: parse(json.dumps({**_DOCUMENT, **change}))
+
+
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (
+            _parse_with(c=[[3, 1], [2, 2], [1, 1]]),
+            InstanceFormatError,
+            "cost matrix has 3 rows, oracle ground size 2",
+        ),
+        (
+            _parse_with(system={"kind": "graphic", "vertices": 2, "edges": 5}),
+            InstanceFormatError,
+            "system.edges: expected a list of edges",
+        ),
+        (
+            _parse_with(system={"kind": "graphic", "vertices": 2, "edges": [[1]]}),
+            InstanceFormatError,
+            "system.edges[0]: expected a pair of integers",
+        ),
+        (
+            _parse_with(system={"kind": "partition", "d": 2, "blocks": [3]}),
+            InstanceFormatError,
+            "system.blocks[0]: expected an object",
+        ),
+        (
+            _parse_with(
+                system={"kind": "partition", "d": 2, "blocks": [{"elements": [1.5], "capacity": 1}]}
+            ),
+            InstanceFormatError,
+            "system.blocks[0].elements: expected integers",
+        ),
+        (
+            _parse_with(system={"kind": "nope"}),
+            InstanceFormatError,
+            "system.kind: unknown system kind 'nope'",
+        ),
+        (_parse_with(meta=[]), InstanceFormatError, "meta: expected an object"),
+        (_parse_with(n=True), InstanceFormatError, "top level.n: expected int, got bool"),
+        (
+            lambda: all_matchings(PATH3, budget=2),
+            EnumerationBudgetExceeded,
+            "matching enumeration exceeded budget 2",
+        ),
+        (
+            lambda: perfect_matchings(K4, budget=1),
+            EnumerationBudgetExceeded,
+            "perfect matching enumeration exceeded budget 1",
+        ),
+    ],
+    ids=[
+        "cost-rows",
+        "edges-not-a-list",
+        "edge-not-a-pair",
+        "block-not-an-object",
+        "block-elements-not-integers",
+        "unknown-kind",
+        "meta-not-an-object",
+        "n-is-a-bool",
+        "matching-budget",
+        "perfect-matching-budget",
+    ],
+)
+def test_documented_errors_carry_their_messages(run, error, message):
+    with pytest.raises(error) as info:
+        run()
+    assert str(info.value) == message

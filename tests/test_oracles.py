@@ -221,6 +221,80 @@ def test_explicit_constructor_contract():
     assert ExplicitSystem(((1.0, "0"),)).vectors == ((1, 0),)
 
 
+@st.composite
+def explicit_lists(draw):
+    """Valid explicit member lists, closed or not, and a downward_closed flag."""
+    d = draw(st.integers(0, 4))
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=2**d, unique=True)
+    )
+    if draw(st.booleans()):
+        vectors = list(down_close(vectors))
+    return vectors, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(explicit_lists())
+@example(([(0, 0), (1, 1)], True))
+@example(([(1, 0), (0, 0)], False))
+def test_explicit_closure_is_worked_out_from_the_members(case):
+    vectors, flag = case
+    closed = is_downward_closed(vectors)
+    assert closed == is_downward_closed_by_tuples(vectors)
+    if flag and not closed:
+        with pytest.raises(ValueError) as info:
+            ExplicitSystem(tuple(vectors), flag)
+        assert str(info.value) == "system flagged downward_closed is not closed"
+        return
+    sys_ = ExplicitSystem(tuple(vectors), flag)
+    assert sys_.downward_closed == closed
+    # A lift is closed exactly when its base is.
+    assert LiftedOracle(sys_, 2).downward_closed == closed
+    assert LiftedOracle(LiftedOracle(sys_, 3), 2).downward_closed == closed
+
+
+def test_matroids_and_matchings_are_downward_closed():
+    for oracle in (
+        UniformMatroid(3, 1),
+        PartitionMatroid(2, (((0, 1), 1),)),
+        GraphicMatroid(2, ((0, 1), (0, 1))),
+        BipartiteMatchings(BipartiteGraph(1, 1, ((0, 0),))),
+    ):
+        assert oracle.downward_closed is True
+        assert LiftedOracle(oracle, 2).downward_closed is True
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: UniformMatroid(-1, 0), "d and rank must be nonnegative"),
+        (lambda: UniformMatroid(2, -1), "d and rank must be nonnegative"),
+        (lambda: PartitionMatroid(2, (((0,), -1),)), "block capacity must be nonnegative"),
+        (lambda: PartitionMatroid(2, (((2,), 1),)), "block element 2 outside ground set"),
+        (lambda: PartitionMatroid(2, (((0,), 1), ((0, 1), 1))), "element 0 appears in two blocks"),
+        (lambda: GraphicMatroid(2, ((0, 2),)), "edge (0,2) references missing vertex"),
+        (lambda: BipartiteGraph(-1, 1, ()), "vertex counts must be nonnegative"),
+        (lambda: BipartiteGraph(1, 1, ((0, 1),)), "edge (0,1) outside vertex ranges"),
+        (lambda: LiftedOracle(UniformMatroid(2, 1), 0), "n must be >= 1"),
+    ],
+    ids=[
+        "uniform-negative-d",
+        "uniform-negative-rank",
+        "partition-negative-capacity",
+        "partition-element-outside",
+        "partition-element-in-two-blocks",
+        "graphic-missing-vertex",
+        "bipartite-negative-count",
+        "bipartite-edge-outside",
+        "lift-n-zero",
+    ],
+)
+def test_oracle_constructors_reject_invalid_arguments(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # --- matroid oracles
 
 

@@ -25,6 +25,7 @@ from shiftopt import (
     ApproxResult,
     ExplicitSystem,
     NotDownwardClosedError,
+    LiftedOracle,
     NotShiftedError,
     OrthogonalSelection,
     UniformMatroid,
@@ -45,7 +46,7 @@ from shiftopt import (
     shifted_value,
     small_n_approx,
 )
-from shiftopt import sco
+from shiftopt import oracles, sco
 
 
 def meets(value, bound: Fraction, opt) -> bool:
@@ -360,6 +361,29 @@ def test_approximations_reject_non_closed_explicit_systems(solve, n):
     if n <= 4:
         solve(closed, c, n)
         solve(ExplicitSystem(closed.vectors), c, n)
+
+
+@pytest.mark.parametrize("solve", [constant_shifted, log_approx, small_n_approx])
+def test_approximations_reject_lifts_of_non_closed_systems(solve):
+    # The 2-lift of {00, 11} is not closed because its base is not; the lift
+    # of the base's closure is.
+    c = ((0,) * 4,) * 4
+    with pytest.raises(NotDownwardClosedError, match="not downward closed"):
+        solve(LiftedOracle(ExplicitSystem(((0, 0), (1, 1))), 2), c, 4)
+    solve(LiftedOracle(ExplicitSystem.closed([(1, 1)]), 2), c, 4)
+
+
+def test_closure_is_worked_out_once_per_explicit_system(monkeypatch):
+    calls = []
+    real = oracles._closed
+    monkeypatch.setattr(oracles, "_closed", lambda masks: calls.append(masks) or real(masks))
+    sys_ = ExplicitSystem(((0, 0), (1, 0), (0, 1)))
+    c = ((2, 1), (1, 0))
+    for _ in range(3):
+        for solve in (constant_shifted, log_approx, small_n_approx):
+            solve(sys_, c, 2)
+    constant_shifted(LiftedOracle(sys_, 2), ((1, 0),) * 4, 2)
+    assert len(calls) == 1
 
 
 # --- small-n variants
