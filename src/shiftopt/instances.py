@@ -16,7 +16,7 @@ import json
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import chain, count, product
 from math import comb
 
 from .core import (
@@ -335,6 +335,14 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
 
+    def isolated_vertex(self) -> int | None:
+        """The lowest vertex on no edge, or None; found from the edge list,
+        so its cost does not grow with the declared vertex count."""
+        touched = set(chain.from_iterable(self.edges))
+        if len(touched) == self.num_vertices:
+            return None
+        return next(v for v in count() if v not in touched)
+
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.num_vertices
         for u, v in self.edges:
@@ -350,11 +358,14 @@ def independent_set_gadget(graph: Graph, n: int) -> Instance:
     Columns are indicators of the edges incident on a vertex; the first
     chosen column per edge is free, every further one costs 1.  Duplicate
     star vectors (e.g. both endpoints of an isolated edge) are listed once.
-    The zero-target equivalence assumes no isolated vertices, whose empty
-    stars could be repeated for free.
+    A vertex on no edge has an empty star that could be repeated for free,
+    so such a graph raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    isolated = graph.isolated_vertex()
+    if isolated is not None:
+        raise ValueError(f"vertex {isolated} lies on no edge")
     d = len(graph.edges)
     # A dict keeps the first of equal stars, in vertex order.
     stars = dict.fromkeys(
@@ -408,7 +419,9 @@ def hexagon_gadget(
 def coloring_gadget(graph: Graph) -> PrescribedCongestion:
     """Prescription over two perfect matchings of a cubic graph; feasible iff
     two edge-disjoint perfect matchings exist (iff 3-edge-colorable)."""
-    if any(deg != 3 for deg in graph.degrees()):
+    # An isolated vertex is found from the edge list before degrees() sizes
+    # its work by the declared vertex count.
+    if graph.isolated_vertex() is not None or any(deg != 3 for deg in graph.degrees()):
         raise ValueError("graph must be 3-regular")
     return PrescribedCongestion(2, tuple(frozenset({0, 1}) for _ in graph.edges))
 
@@ -422,11 +435,12 @@ def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
     """All perfect matchings as edge indicator vectors, by backtracking.
 
     At each step the unmatched vertex with fewest available partners is
-    matched (fail-first), so infeasible graphs die quickly.
+    matched (fail-first), so infeasible graphs die quickly.  A graph with
+    an isolated vertex has none, found before any per-vertex work.
     """
     nv = graph.num_vertices
     d = len(graph.edges)
-    if nv % 2:
+    if nv % 2 or graph.isolated_vertex() is not None:
         return ()
     incident: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for idx, (x, y) in enumerate(graph.edges):
@@ -545,15 +559,19 @@ def random_instance(
     Members are int masks with element i at bit d-1-i, so mask order is
     the order of the 0/1 tuples.  On a closed family a member is maximal
     iff no one-element extension is a member, and removing a maximal m can
-    only make the members m minus one element maximal.
+    only make the members m minus one element maximal.  Every member lies
+    inside the generators' union, so only its elements are ever tried as
+    extensions, and the masks kept grow with that union, not with d.
     """
     if d < 1 or n < 1 or set_size < 1 or cost_range < 0:
         raise ValueError("d, n, set_size must be >= 1 and cost_range >= 0")
     rng = random.Random(seed)
-    bits = [1 << (d - 1 - i) for i in range(d)]
+    bits: set[int] = set()
     members = {0}
     for _ in range(rng.randint(1, 3)):
-        gen = sum(bits[i] for i in rng.sample(range(d), rng.randint(1, min(4, d))))
+        picks = [1 << (d - 1 - i) for i in rng.sample(range(d), rng.randint(1, min(4, d)))]
+        bits.update(picks)
+        gen = sum(picks)
         sub = gen
         while sub:  # every nonzero submask of gen
             members.add(sub)
@@ -689,8 +707,11 @@ def _parse_system(obj, path: str) -> SystemSpec:
                         f"{path}.vectors[{i}]: expected a string of 0/1 characters"
                     )
                 vectors.append(s.encode().translate(_BIT_VALUES))
-            closed = _want(obj, path, "downward_closed", (bool,), required=False)
-            return ExplicitSystem(tuple(vectors), bool(closed))
+            flagged = _want(obj, path, "downward_closed", (bool,), required=False)
+            system = ExplicitSystem(tuple(vectors))
+            if flagged and not system.downward_closed:
+                raise InstanceFormatError(f"{path}: system flagged downward_closed is not closed")
+            return system
         if kind == "uniform":
             return UniformMatroid(_want(obj, path, "d", (int,)), _want(obj, path, "rank", (int,)))
         if kind == "partition":

@@ -128,12 +128,11 @@ def is_downward_closed(vectors: Iterable[Sequence[int]]) -> bool:
 class ExplicitSystem(IndependenceOracle):
     """A system given as an explicit list of distinct 0/1 vectors.
 
-    The constructor works out downward_closed from the members; passing
-    downward_closed=True asserts it and raises ValueError on members that
-    are not closed.  Ties in maximize break by list order, so the
-    stored order is significant and preserved by serialization.  A vector
-    may be given as a sequence of 0/1 entries or as bytes of 0/1 values;
-    it is stored as a tuple of ints.
+    The constructor works out downward_closed from the members; it is never
+    an argument.  Ties in maximize break by list order, so the stored order
+    is significant and preserved by serialization.  A vector may be given
+    as a sequence of 0/1 entries or as bytes of 0/1 values; it is stored as
+    a tuple of ints.
 
     The constructor builds a prefix tree of the member supports: a node is
     a member's bitmask or a prefix of one, and its parent is the same mask
@@ -146,7 +145,8 @@ class ExplicitSystem(IndependenceOracle):
     """
 
     vectors: tuple[Vector, ...]
-    downward_closed: bool = False
+    # Worked out from the members, and part of repr and equality.
+    downward_closed: bool = field(init=False, default=False)
     _member_set: frozenset[Vector] = _derived(frozenset())
     # (parent node, element) for nodes 1, 2, ...; node 0 is the root.
     _tree: tuple[tuple[int, int], ...] = _derived(())
@@ -162,10 +162,7 @@ class ExplicitSystem(IndependenceOracle):
             raise ValueError("explicit system vectors must be distinct")
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_member_set", frozenset(vecs))
-        closed = _closed(mask_set)
-        if self.downward_closed and not closed:
-            raise ValueError("system flagged downward_closed is not closed")
-        object.__setattr__(self, "downward_closed", closed)
+        object.__setattr__(self, "downward_closed", _closed(mask_set))
         nodes = {0}
         for m in masks:
             while m not in nodes:
@@ -250,11 +247,13 @@ class PartitionMatroid(IndependenceOracle):
         for elems, cap in blocks:
             if cap < 0:
                 raise ValueError("block capacity must be nonnegative")
-            for e in elems:
+            for k, e in enumerate(elems):
                 if not 0 <= e < self.d:
                     raise ValueError(f"block element {e} outside ground set")
                 if e in seen:
-                    raise ValueError(f"element {e} appears in two blocks")
+                    # elems is sorted, so a repeat within it is its predecessor.
+                    where = "twice in one block" if k and elems[k - 1] == e else "in two blocks"
+                    raise ValueError(f"element {e} appears {where}")
                 seen.add(e)
 
     def ground_size(self) -> int:

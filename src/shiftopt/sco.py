@@ -60,8 +60,7 @@ class NotDownwardClosedError(ValueError):
 
     def __init__(self, algorithm: str) -> None:
         super().__init__(
-            f"explicit system is not downward closed; {algorithm} needs a "
-            "downward-closed system"
+            f"system is not downward closed; {algorithm} needs a downward-closed system"
         )
 
 

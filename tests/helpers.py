@@ -37,9 +37,9 @@ def rand_closed_system(rng: random.Random, d: int, max_size: int) -> ExplicitSys
             if not any(w != v and all(a <= b for a, b in zip(v, w)) for w in members)
         )
         members.remove(rng.choice(maximal))
-    return ExplicitSystem(
-        tuple(sorted(members, key=lambda v: (sum(v), v))), downward_closed=True
-    )
+    system = ExplicitSystem(tuple(sorted(members, key=lambda v: (sum(v), v))))
+    assert system.downward_closed
+    return system
 
 
 def rand_arbitrary_system(rng: random.Random, d: int, max_size: int) -> ExplicitSystem:
@@ -47,7 +47,7 @@ def rand_arbitrary_system(rng: random.Random, d: int, max_size: int) -> Explicit
     universe = list(product((0, 1), repeat=d))
     size = rng.randint(1, min(max_size, len(universe)))
     vectors = rng.sample(universe, size)
-    return ExplicitSystem(tuple(vectors), downward_closed=False)
+    return ExplicitSystem(tuple(vectors))
 
 
 def rand_cost(rng: random.Random, d: int, n: int, lo: int = -9, hi: int = 9,
@@ -141,7 +141,7 @@ def is_downward_closed_by_tuples(vectors) -> bool:
     return True
 
 
-def explicit_constructor_error(vectors, downward_closed: bool = False):
+def explicit_constructor_error(vectors):
     """Reference ExplicitSystem validation on tuples: the ValueError message
     for the vectors, or None if they form a valid system."""
     vecs = tuple(tuple(int(b) for b in v) for v in vectors)
@@ -154,8 +154,6 @@ def explicit_constructor_error(vectors, downward_closed: bool = False):
             return "explicit system vectors must be 0/1"
     if len(set(vecs)) != len(vecs):
         return "explicit system vectors must be distinct"
-    if downward_closed and not is_downward_closed_by_tuples(vecs):
-        return "system flagged downward_closed is not closed"
     return None
 
 
@@ -496,6 +494,18 @@ SYSTEM_KINDS = ("uniform", "partition", "graphic", "bipartite", "closed", "expli
 
 
 @st.composite
+def explicit_lists(draw):
+    """Valid explicit member lists over d <= 4 elements, closed or not."""
+    d = draw(st.integers(0, 4))
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=2**d, unique=True)
+    )
+    if draw(st.booleans()):
+        vectors = list(down_close(vectors))
+    return vectors
+
+
+@st.composite
 def systems(draw, max_d: int = 7):
     """Any system kind the oracles implement, ground size 0..max_d; "explicit"
     systems need not be downward closed nor contain the zero vector."""
@@ -529,7 +539,7 @@ def systems(draw, max_d: int = 7):
     if kind == "closed":
         return ExplicitSystem.closed(draw(st.lists(vectors, max_size=3)) or [(0,) * d])
     members = draw(st.lists(vectors, min_size=1, max_size=8, unique=True))
-    return ExplicitSystem(tuple(members), downward_closed=False)
+    return ExplicitSystem(tuple(members))
 
 
 def costs(d: int, n: int, lo: int = -5, hi: int = 8, shifted: bool = False):

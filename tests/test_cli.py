@@ -362,11 +362,10 @@ def _log_bound_one(monkeypatch):
     )
 
 
-def _too_many_rows(tmp_path):
-    path = tmp_path / "rows.json"
+def _explicit_file(tmp_path, c, system):
+    path = tmp_path / "explicit.json"
     path.write_text(json.dumps({
-        "version": 1, "n": 2, "c": [[3, 1], [2, 2], [1, 1]],
-        "system": {"kind": "explicit", "vectors": ["00", "10", "01"]},
+        "version": 1, "n": 2, "c": c, "system": {"kind": "explicit", **system},
     }))
     return str(path)
 
@@ -400,14 +399,30 @@ def _too_many_rows(tmp_path):
             "argument --shifted: expected true/false, got 'maybe'\n",
         ),
         (
-            lambda tmp, mp: ["solve", _too_many_rows(tmp), "--variant", "log"],
+            lambda tmp, mp: [
+                "solve",
+                _explicit_file(tmp, [[3, 1], [2, 2], [1, 1]], {"vectors": ["00", "10", "01"]}),
+                "--variant", "log",
+            ],
             1,
             "err",
             "parse error: cost matrix has 3 rows, oracle ground size 2\n",
         ),
+        (
+            lambda tmp, mp: [
+                "solve",
+                _explicit_file(
+                    tmp, [[3, 1], [2, 2]], {"vectors": ["00", "11"], "downward_closed": True}
+                ),
+                "--variant", "log",
+            ],
+            1,
+            "err",
+            "parse error: system: system flagged downward_closed is not closed\n",
+        ),
     ],
     ids=["bench-shifted-false", "bench-violation", "bench-no-trials", "bench-shifted-maybe",
-         "solve-cost-rows"],
+         "solve-cost-rows", "solve-flag-not-closed"],
 )
 def test_documented_exit_codes_and_messages(tmp_path, capsys, monkeypatch, argv, code, stream, text):
     try:
@@ -445,6 +460,9 @@ def test_bench_summary_lines_for_the_criterion_10_configuration(tmp_path, capsys
         (["coloring", "--vertices", "4", "--edges", "1-2,3"], "bad edge '3'; expected u-v"),
         (["hexagon", "--k", "3", "--sets", ";"], "empty set family"),
         (["congestion", "--n", "2", "--sets", ";"], "empty congestion set list"),
+        # A triangle and an isolated vertex 4 (0-based 3).
+        (["independent-set", "--vertices", "4", "--n", "3", "--edges", "1-2,2-3,1-3"],
+         "vertex 3 lies on no edge"),
     ],
 )
 def test_gadget_option_errors(tmp_path, capsys, argv, message):

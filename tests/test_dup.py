@@ -19,7 +19,7 @@ from shiftopt.dup import GREEDY_DUP
 
 
 def test_greedy_covers_both_elements():
-    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)), downward_closed=True)
+    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)))
     sel = greedy_dup(sys_, 2, (3, 5))
     assert sel.value == 8
     assert set(sel.columns) == {(0, 1), (1, 0)}
@@ -138,7 +138,7 @@ def dup_instances(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(dup_instances())
-@example((ExplicitSystem(((),), downward_closed=True), 1, []))
+@example((ExplicitSystem(((),)), 1, []))
 @example((ExplicitSystem(((),)), 3, []))
 @example((ExplicitSystem(((1, 1), (0, 1))), 3, [0, -2]))
 @example((ExplicitSystem(((1, 0, 1), (0, 1, 1))), 2, [-1, 0, 4]))

@@ -13,6 +13,7 @@ from helpers import (
     costs,
     dup_first_optimum_by_disjoint_recursion,
     exact_cover_by_subfamilies,
+    explicit_lists,
     generalized_value_by_tuples,
     rand_binary,
     rand_closed_system,
@@ -50,6 +51,7 @@ from shiftopt import (
     game_to_cost,
     hexagon_gadget,
     independent_set_gadget,
+    is_downward_closed,
     is_shifted,
     matrix,
     parse,
@@ -80,7 +82,7 @@ def petersen() -> Graph:
 
 
 def test_brute_force_sco_cross_checked_by_tuple_enumeration():
-    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)), downward_closed=True)
+    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)))
     c = matrix([[3, 1], [2, 2]])
     opt, witness = brute_force_sco(sys_, c, 2)
     assert opt == 5
@@ -120,7 +122,7 @@ def test_brute_force_sco_matches_tuple_enumeration_random():
 
 
 def test_brute_force_dup_examples():
-    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)), downward_closed=True)
+    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)))
     assert brute_force_dup(sys_, 2, (3, 5))[0] == 8
 
     singles = ExplicitSystem.closed([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -364,10 +366,9 @@ def test_independent_set_gadget_dedups_equal_stars():
 
 
 def test_independent_set_gadget_file_records_the_computed_closure():
-    # Vertices 1 and 2 share the star (1) and vertex 3 has the empty star,
-    # so the members {(1), (0)} are closed, and the file says so.
-    inst = independent_set_gadget(Graph(3, ((0, 1),)), 2)
-    assert inst.system.vectors == ((1,), (0,))
+    # The members {(1), (0)} are closed, given in the order a star list
+    # would have them, and the file says so.
+    inst = Instance(ExplicitSystem(((1,), (0,))), 2, ((0, -1),))
     data = json.loads(serialize(inst))
     assert data["system"]["downward_closed"] is True
     assert parse(serialize(inst)) == inst
@@ -443,9 +444,36 @@ def test_coloring_gadget_petersen_infeasible():
     assert opt < 0
 
 
+def test_independent_set_gadget_rejects_an_isolated_vertex():
+    # A triangle and an isolated vertex have no independent set of size 3,
+    # yet the empty star of vertex 3 taken twice would meet the target.
+    with pytest.raises(ValueError, match="^vertex 3 lies on no edge$"):
+        independent_set_gadget(Graph(4, TRIANGLE.edges), 3)
+    with pytest.raises(ValueError, match="^vertex 0 lies on no edge$"):
+        independent_set_gadget(Graph(3, ((1, 2),)), 1)
+
+
 def test_coloring_gadget_rejects_noncubic():
     with pytest.raises(ValueError):
         coloring_gadget(PATH3)
+
+
+def test_graph_paths_ignore_declared_vertices_without_edges():
+    # One edge among 10^6 declared vertices: an uncovered vertex is found
+    # from the edge list, before any work sized by the declared count.
+    graph = Graph(10**6, ((0, 1),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^graph must be 3-regular$"):
+            coloring_gadget(graph)
+        assert perfect_matchings(graph) == ()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert graph.isolated_vertex() == 2
+    assert K4.isolated_vertex() is None
+    assert perfect_matchings(Graph(0, ())) == ((),)
 
 
 def test_perfect_matchings_small_cases():
@@ -524,6 +552,20 @@ def test_random_instance_equals_pairwise_scan_reference(
 ):
     args = dict(d=d, n=n, set_size=set_size, cost_range=cost_range, shifted=shifted)
     assert random_instance(seed, **args) == random_instance_by_pairwise_scan(seed, **args)
+
+
+def test_random_instance_memory_grows_with_the_generators_not_d():
+    # At most 3 x 4 generator elements are ever tried as extensions, so a
+    # wide ground set costs only the instance itself (d cost rows, and
+    # members of d entries each).
+    tracemalloc.start()
+    try:
+        inst = random_instance(1, d=20_000, n=1, set_size=4, cost_range=5, shifted=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.system.downward_closed and len(inst.system.vectors) <= 4
+    assert peak < 5_000_000
 
 
 def test_round_trip_on_random_instances():
@@ -648,6 +690,28 @@ def _instance_documents(draw):
     return json.dumps(doc).encode()
 
 
+@settings(max_examples=300, deadline=None)
+@given(explicit_lists(), st.sampled_from([True, False, None]))
+@example([(0, 0), (1, 1)], True)
+@example([(1, 0), (0, 0)], True)
+def test_parse_checks_a_downward_closed_flag_against_the_members(vectors, flag):
+    # The flag is the file's claim; the system works out its own closure.
+    system = {"kind": "explicit", "vectors": ["".join(map(str, v)) for v in vectors]}
+    if flag is not None:
+        system["downward_closed"] = flag
+    doc = json.dumps({"version": 1, "n": 1, "c": [[0]] * len(vectors[0]), "system": system})
+    closed = is_downward_closed(vectors)
+    if flag and not closed:
+        with pytest.raises(InstanceFormatError) as info:
+            parse(doc)
+        assert str(info.value) == "system: system flagged downward_closed is not closed"
+        return
+    inst = parse(doc)
+    assert inst.system == ExplicitSystem(tuple(vectors))
+    assert inst.system.downward_closed == closed
+    assert json.loads(serialize(inst))["system"]["downward_closed"] == closed
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.binary(max_size=64) | _json_values.map(json.dumps).map(str.encode) | _instance_documents())
 @example(b"[" * 100_000)
@@ -768,6 +832,18 @@ def _parse_with(**change):
         (_parse_with(meta=[]), InstanceFormatError, "meta: expected an object"),
         (_parse_with(n=True), InstanceFormatError, "top level.n: expected int, got bool"),
         (
+            _parse_with(
+                system={"kind": "partition", "d": 3, "blocks": [{"elements": [1, 1], "capacity": 1}]}
+            ),
+            InstanceFormatError,
+            "system: element 0 appears twice in one block",
+        ),
+        (
+            lambda: independent_set_gadget(Graph(4, TRIANGLE.edges), 3),
+            ValueError,
+            "vertex 3 lies on no edge",
+        ),
+        (
             lambda: all_matchings(PATH3, budget=2),
             EnumerationBudgetExceeded,
             "matching enumeration exceeded budget 2",
@@ -787,6 +863,8 @@ def _parse_with(**change):
         "unknown-kind",
         "meta-not-an-object",
         "n-is-a-bool",
+        "block-repeats-an-element",
+        "isolated-vertex",
         "matching-budget",
         "perfect-matching-budget",
     ],

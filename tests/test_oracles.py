@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import fields
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     down_close_by_tuples,
     explicit_constructor_error,
+    explicit_lists,
     explicit_maximize_by_scan,
     graphic_contains_by_union_find,
     graphic_maximize_by_union_find,
@@ -76,8 +78,6 @@ def test_explicit_rejects_empty_and_duplicates():
         ExplicitSystem(())
     with pytest.raises(ValueError):
         ExplicitSystem(((1, 0), (1, 0)))
-    with pytest.raises(ValueError):
-        ExplicitSystem(((1, 1),), downward_closed=True)
 
 
 def test_down_close_and_check():
@@ -88,7 +88,7 @@ def test_down_close_and_check():
 
 
 def test_explicit_ground_size_zero():
-    sys_ = ExplicitSystem(((),), downward_closed=True)
+    sys_ = ExplicitSystem(((),))
     assert sys_.maximize(()) == () and sys_.ground_size() == 0
 
 
@@ -103,7 +103,7 @@ def test_explicit_weights_above_2_to_64_stay_exact():
 
 def test_explicit_ties_go_to_list_order_not_mask_order():
     vecs = ((0, 1), (1, 0), (0, 0), (1, 1))
-    sys_ = ExplicitSystem(vecs, downward_closed=True)
+    sys_ = ExplicitSystem(vecs)
     assert sys_.maximize((5, 5)) == (1, 1)
     assert sys_.maximize((5, -5)) == (1, 0)
     assert sys_.maximize((0, 0)) == (0, 1)
@@ -121,7 +121,7 @@ def explicit_systems(draw, max_d: int = 8):
     if draw(st.booleans()):
         gens = draw(st.lists(_bit_vectors(d), max_size=4)) or [(0,) * d]
         members = draw(st.permutations(down_close_by_tuples(gens)))
-        return ExplicitSystem(tuple(members), downward_closed=True)
+        return ExplicitSystem(tuple(members))
     members = draw(st.lists(_bit_vectors(d), min_size=1, max_size=12, unique=True))
     return ExplicitSystem(tuple(members))
 
@@ -160,39 +160,35 @@ ENTRIES = st.sampled_from((0, 1, 0, 1, True, False, 2, -1))
 
 
 @settings(max_examples=600, deadline=None)
-@given(
-    st.lists(st.lists(ENTRIES, min_size=2, max_size=3).map(tuple), max_size=6),
-    st.booleans(),
-)
-def test_explicit_constructor_accepts_and_rejects_as_reference(vectors, closed):
-    err = explicit_constructor_error(vectors, closed)
+@given(st.lists(st.lists(ENTRIES, min_size=2, max_size=3).map(tuple), max_size=6))
+def test_explicit_constructor_accepts_and_rejects_as_reference(vectors):
+    err = explicit_constructor_error(vectors)
     if err is None:
-        sys_ = ExplicitSystem(tuple(vectors), closed)
+        sys_ = ExplicitSystem(tuple(vectors))
         assert sys_.vectors == tuple(tuple(int(b) for b in v) for v in vectors)
         assert all(type(b) is int for v in sys_.vectors for b in v)
     else:
         with pytest.raises(ValueError) as exc:
-            ExplicitSystem(tuple(vectors), closed)
+            ExplicitSystem(tuple(vectors))
         assert str(exc.value) == err
 
 
 @settings(max_examples=400, deadline=None)
 @given(
     st.lists(st.lists(st.sampled_from((0, 1, 0, 1, 2)), min_size=2, max_size=3), max_size=6),
-    st.booleans(),
     st.lists(st.integers(-3, 3), min_size=3, max_size=3),
 )
-def test_explicit_system_from_bytes_equals_from_tuples(vectors, closed, w):
+def test_explicit_system_from_bytes_equals_from_tuples(vectors, w):
     from_tuples = tuple(map(tuple, vectors))
     from_bytes = tuple(map(bytes, vectors))
-    err = explicit_constructor_error(from_tuples, closed)
+    err = explicit_constructor_error(from_tuples)
     if err is not None:
         for given_vectors in (from_tuples, from_bytes):
             with pytest.raises(ValueError) as exc:
-                ExplicitSystem(given_vectors, closed)
+                ExplicitSystem(given_vectors)
             assert str(exc.value) == err
         return
-    a, b = ExplicitSystem(from_tuples, closed), ExplicitSystem(from_bytes, closed)
+    a, b = ExplicitSystem(from_tuples), ExplicitSystem(from_bytes)
     assert a == b and b.vectors == from_tuples
     assert all(type(v) is tuple for v in b.vectors)
     d = a.ground_size()
@@ -211,8 +207,14 @@ def test_explicit_constructor_contract():
     for vectors, message in rejected.items():
         with pytest.raises(ValueError, match=message):
             ExplicitSystem(vectors)
-    with pytest.raises(ValueError, match="not closed"):
-        ExplicitSystem(((0, 0), (1, 1)), downward_closed=True)
+    # Closure is worked out, never passed: the constructor takes the members
+    # only, and the worked-out field stays in repr, equality and hashing.
+    with pytest.raises(TypeError):
+        ExplicitSystem(((0, 0), (1, 0)), True)
+    with pytest.raises(TypeError):
+        ExplicitSystem(((0, 0), (1, 0)), **{"downward_closed": True})
+    closure = {f.name: f for f in fields(ExplicitSystem)}["downward_closed"]
+    assert (closure.init, closure.repr, closure.compare) == (False, True, True)
     sys_ = ExplicitSystem(((True, False), (0, 0)))
     assert sys_.vectors == ((1, 0), (0, 0))
     assert all(type(b) is int for v in sys_.vectors for b in v)
@@ -221,32 +223,14 @@ def test_explicit_constructor_contract():
     assert ExplicitSystem(((1.0, "0"),)).vectors == ((1, 0),)
 
 
-@st.composite
-def explicit_lists(draw):
-    """Valid explicit member lists, closed or not, and a downward_closed flag."""
-    d = draw(st.integers(0, 4))
-    vectors = draw(
-        st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=2**d, unique=True)
-    )
-    if draw(st.booleans()):
-        vectors = list(down_close(vectors))
-    return vectors, draw(st.booleans())
-
-
 @settings(max_examples=300, deadline=None)
 @given(explicit_lists())
-@example(([(0, 0), (1, 1)], True))
-@example(([(1, 0), (0, 0)], False))
-def test_explicit_closure_is_worked_out_from_the_members(case):
-    vectors, flag = case
+@example([(0, 0), (1, 1)])
+@example([(1, 0), (0, 0)])
+def test_explicit_closure_is_worked_out_from_the_members(vectors):
     closed = is_downward_closed(vectors)
     assert closed == is_downward_closed_by_tuples(vectors)
-    if flag and not closed:
-        with pytest.raises(ValueError) as info:
-            ExplicitSystem(tuple(vectors), flag)
-        assert str(info.value) == "system flagged downward_closed is not closed"
-        return
-    sys_ = ExplicitSystem(tuple(vectors), flag)
+    sys_ = ExplicitSystem(tuple(vectors))
     assert sys_.downward_closed == closed
     # A lift is closed exactly when its base is.
     assert LiftedOracle(sys_, 2).downward_closed == closed
@@ -272,6 +256,7 @@ def test_matroids_and_matchings_are_downward_closed():
         (lambda: PartitionMatroid(2, (((0,), -1),)), "block capacity must be nonnegative"),
         (lambda: PartitionMatroid(2, (((2,), 1),)), "block element 2 outside ground set"),
         (lambda: PartitionMatroid(2, (((0,), 1), ((0, 1), 1))), "element 0 appears in two blocks"),
+        (lambda: PartitionMatroid(3, (((0, 0), 1),)), "element 0 appears twice in one block"),
         (lambda: GraphicMatroid(2, ((0, 2),)), "edge (0,2) references missing vertex"),
         (lambda: BipartiteGraph(-1, 1, ()), "vertex counts must be nonnegative"),
         (lambda: BipartiteGraph(1, 1, ((0, 1),)), "edge (0,1) outside vertex ranges"),
@@ -283,6 +268,7 @@ def test_matroids_and_matchings_are_downward_closed():
         "partition-negative-capacity",
         "partition-element-outside",
         "partition-element-in-two-blocks",
+        "partition-element-twice-in-one-block",
         "graphic-missing-vertex",
         "bipartite-negative-count",
         "bipartite-edge-outside",
@@ -524,7 +510,7 @@ def test_lift_routes_rows_to_best_columns():
     c = matrix([[5, 1], [2, 7]])
     x = lift_maximize(oracle, 2, c)
     assert x == ((0, 0), (0, 1))
-    sys_ = ExplicitSystem(((0, 0), (1, 0), (0, 1)), downward_closed=True)
+    sys_ = ExplicitSystem(((0, 0), (1, 0), (0, 1)))
     assert frobenius(c, x) == lift_value_full_enum(sys_, c, 2) == 7
 
 

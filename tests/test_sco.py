@@ -110,7 +110,7 @@ def test_clean_zeroes_highest_index_columns_first():
 
 
 def test_constant_shifted_solves_worked_example():
-    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)), downward_closed=True)
+    sys_ = ExplicitSystem(((0, 0), (0, 1), (1, 0)))
     c = matrix([[3, 1], [2, 2]])
     res = constant_shifted(sys_, c, 2)
     assert res.value == 5
@@ -154,7 +154,7 @@ def test_constant_shifted_ratio_on_random_instances():
 
 
 def test_constant_shifted_empty_ground_set():
-    sys_ = ExplicitSystem(((),), downward_closed=True)
+    sys_ = ExplicitSystem(((),))
     res = constant_shifted(sys_, (), 2)
     assert res.value == 0
 
@@ -176,7 +176,7 @@ def not_closed(sys_) -> bool:
 
 @settings(max_examples=600, deadline=None)
 @given(shifted_instances())
-@example((ExplicitSystem(((),), downward_closed=True), (), 1))
+@example((ExplicitSystem(((),)), (), 1))
 @example((ExplicitSystem(((),)), (), 3))
 @example((UniformMatroid(0, 0), (), 2))
 @example((_NONCLOSED, ((2,), (0,), (-1,)), 1))
@@ -195,7 +195,7 @@ def test_constant_shifted_matches_lift_reference(instance):
 # Members listed with (1, 1) first: with costs ((2, 1), (0, 0)) the first
 # round selects element 2 at weight 0 while it is uncovered, and the second
 # selects it again at weight 0 after its one positive cell is used.
-_ZERO_PICK = ExplicitSystem(((1, 1), (1, 0), (0, 1), (0, 0)), downward_closed=True)
+_ZERO_PICK = ExplicitSystem(((1, 1), (1, 0), (0, 1), (0, 0)))
 
 
 @settings(max_examples=800, deadline=None)
@@ -220,7 +220,7 @@ def dup_weights(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(dup_weights())
-@example((ExplicitSystem(((),), downward_closed=True), [], 3))
+@example((ExplicitSystem(((),)), [], 3))
 @example((UniformMatroid(0, 0), [], 1))
 @example((UniformMatroid(3, 2), [4, 0, 7], 1))
 @example((_ZERO_PICK, [0, 2], 2))
@@ -353,10 +353,13 @@ def test_level_candidate_with_a_plugged_in_solver(monkeypatch):
 )
 def test_approximations_reject_non_closed_explicit_systems(solve, n):
     c = ((0,) * n,) * 3
-    with pytest.raises(NotDownwardClosedError, match="not downward closed"):
+    with pytest.raises(NotDownwardClosedError) as info:
         solve(_NONCLOSED, c, n)
+    assert str(info.value) == (
+        f"system is not downward closed; {solve.__name__} needs a downward-closed system"
+    )
     # the closure check comes first; the downward closure of the same
-    # vectors is accepted, flagged or not
+    # vectors is accepted, whether built by closed() or listed
     closed = ExplicitSystem.closed(_NONCLOSED.vectors)
     if n <= 4:
         solve(closed, c, n)
@@ -368,8 +371,12 @@ def test_approximations_reject_lifts_of_non_closed_systems(solve):
     # The 2-lift of {00, 11} is not closed because its base is not; the lift
     # of the base's closure is.
     c = ((0,) * 4,) * 4
-    with pytest.raises(NotDownwardClosedError, match="not downward closed"):
+    with pytest.raises(NotDownwardClosedError) as info:
         solve(LiftedOracle(ExplicitSystem(((0, 0), (1, 1))), 2), c, 4)
+    # The message names no kind of system: the lift is not an explicit one.
+    assert str(info.value) == (
+        f"system is not downward closed; {solve.__name__} needs a downward-closed system"
+    )
     solve(LiftedOracle(ExplicitSystem.closed([(1, 1)]), 2), c, 4)
 
 
