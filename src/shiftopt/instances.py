@@ -3,7 +3,9 @@
 Brute-force optimizers enumerate multisets of system members (the shifted
 objective is invariant under column permutation, so multisets suffice) and
 are guarded by an explicit candidate budget: exceeding it raises, never
-truncates silently.
+truncates silently.  They take any system kind and list the members of one
+that is not an explicit list themselves, stopping as soon as the members
+are too many for their multisets to fit the budget.
 
 The instance file format is UTF-8 JSON with 1-based element and vertex
 indices, mirroring the usual [d] convention; vector strings put element 1
@@ -14,9 +16,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain, count, product
+from itertools import chain, count, islice, product
 from math import comb
 
 from .core import (
@@ -32,12 +35,16 @@ from .core import (
 )
 from .dup import OrthogonalSelection
 from .oracles import (
+    _BIT_VALUES,
     BipartiteGraph,
     BipartiteMatchings,
     ExplicitSystem,
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
+    _canonical,
+    _closure,
+    _vectors,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -173,23 +180,25 @@ def _best_multiset(
 
 
 def brute_force_sco(
-    system: ExplicitSystem, c: Matrix, n: int, budget: int = DEFAULT_BUDGET
+    system: SystemSpec, c: Matrix, n: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, Matrix]:
     """Exact shifted optimum over multisets of n members, with a witness.
 
     The witness is the first optimum in the enumeration order (members in
-    list order, nondecreasing indices), so results are reproducible.
+    list order, or canonical order for a system that is not an explicit
+    list, with nondecreasing indices), so results are reproducible.
     """
     check_cost_shape(c, n, system.ground_size())
-    members = system.vectors
-    best_val, best_pick = _best_multiset(members, c, n, budget, "shifted brute force")
+    what = "shifted brute force"
+    members = _members(system, budget, n, what)
+    best_val, best_pick = _best_multiset(members, c, n, budget, what)
     assert best_val is not None
     witness = from_columns([members[i] for i in best_pick])
     return best_val, witness
 
 
 def brute_force_dup(
-    system: ExplicitSystem, k: int, w: Sequence[int], budget: int = DEFAULT_BUDGET
+    system: SystemSpec, k: int, w: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> tuple[int, OrthogonalSelection]:
     """Exact disjoint union optimum over k-multisets of members.
 
@@ -205,8 +214,9 @@ def brute_force_dup(
     total = sum(map(abs, w))
     penalty = (-2 * total - 1,) * (k - 1)
     rows = [(wi, *penalty) for wi in w]
-    members = system.vectors
-    best_val, best_pick = _best_multiset(members, rows, k, budget, "disjoint union brute force")
+    what = "disjoint union brute force"
+    members = _members(system, budget, k, what)
+    best_val, best_pick = _best_multiset(members, rows, k, budget, what)
     if best_val is None or best_val < -total:
         raise ValueError("no selection of k pairwise disjoint members exists")
     cols = tuple(members[i] for i in best_pick)
@@ -214,12 +224,14 @@ def brute_force_dup(
 
 
 def brute_force_generalized(
-    system: ExplicitSystem, tables: CostTables, n: int, budget: int = DEFAULT_BUDGET
+    system: SystemSpec, tables: CostTables, n: int, budget: int = DEFAULT_BUDGET
 ) -> int:
     """Exact optimum of sum_i f_i(congestion_i) over multisets of n members."""
     check_value_tables(tables, n, system.ground_size())
     increments = [tuple(b - a for a, b in zip(t, t[1:])) for t in tables]
-    best, _ = _best_multiset(system.vectors, increments, n, budget, "generalized brute force")
+    what = "generalized brute force"
+    members = _members(system, budget, n, what)
+    best, _ = _best_multiset(members, increments, n, budget, what)
     assert best is not None
     return best + sum(t[0] for t in tables)
 
@@ -328,11 +340,11 @@ class Graph:
         seen = set()
         for u, v in edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u},{v}) references missing vertex")
+                raise ValueError(f"edge ({u + 1},{v + 1}) references missing vertex")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"self-loop at vertex {u + 1}")
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise ValueError(f"duplicate edge ({u + 1},{v + 1})")
             seen.add((u, v))
 
     def isolated_vertex(self) -> int | None:
@@ -365,7 +377,7 @@ def independent_set_gadget(graph: Graph, n: int) -> Instance:
         raise ValueError("n must be >= 1")
     isolated = graph.isolated_vertex()
     if isolated is not None:
-        raise ValueError(f"vertex {isolated} lies on no edge")
+        raise ValueError(f"vertex {isolated + 1} lies on no edge")
     d = len(graph.edges)
     # A dict keeps the first of equal stars, in vertex order.
     stars = dict.fromkeys(
@@ -405,7 +417,7 @@ def hexagon_gadget(
         if len(triple) != 3 or len(set(triple)) != 3:
             raise ValueError(f"subset {i + 1} must have exactly 3 distinct elements")
         if triple[0] < 0 or triple[-1] >= k:
-            raise ValueError(f"subset {i + 1} has elements outside 0..{k - 1}")
+            raise ValueError(f"subset {i + 1} has elements outside 1..{k}")
         # u(i, r) and v(i, r) are both 3i + r; a_j and b_j are both 3m + j.
         x, y, z = 3 * i, 3 * i + 1, 3 * i + 2
         a_r, a_s, a_t = (3 * m + j for j in triple)
@@ -487,37 +499,35 @@ def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def _matchings(ends: Sequence[tuple[int, int]], budget: int) -> tuple[Vector, ...]:
-    """All matchings (including empty) of the edges `ends`, parallel ones allowed."""
+def _matchings(ends: Sequence[tuple[int, int]], limit: int, message: str) -> list[int]:
+    """The edge masks (edge i at bit d-1-i) of all matchings, the empty one
+    included, of the edges `ends`, parallel ones allowed, in increasing
+    order; raises EnumerationBudgetExceeded(message) past `limit` of them."""
     d = len(ends)
     used: set[int] = set()  # sized by the matched vertices, not the declared ones
-    sel = [0] * d
-    out: list[Vector] = []
+    out: list[int] = []
 
-    def rec(i: int) -> None:
+    def rec(i: int, mask: int) -> None:
         if i == d:
-            if len(out) >= budget:
-                raise EnumerationBudgetExceeded(
-                    f"matching enumeration exceeded budget {budget}"
-                )
-            out.append(tuple(sel))
+            if len(out) >= limit:
+                raise EnumerationBudgetExceeded(message)
+            out.append(mask)
             return
-        rec(i + 1)
+        rec(i + 1, mask)
         x, y = ends[i]
         if x not in used and y not in used:
             used.update((x, y))
-            sel[i] = 1
-            rec(i + 1)
-            sel[i] = 0
+            rec(i + 1, mask | 1 << (d - 1 - i))
             used.difference_update((x, y))
 
-    rec(0)
-    return tuple(out)
+    rec(0, 0)
+    return out
 
 
 def all_matchings(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[Vector, ...]:
-    """All matchings (including empty) as edge indicator vectors."""
-    return _matchings(graph.edges, budget)
+    """All matchings (including empty) as edge indicator vectors, in vector order."""
+    message = f"matching enumeration exceeded budget {budget}"
+    return _vectors(_matchings(graph.edges, budget, message), len(graph.edges))
 
 
 def exact_cover_exists(sets: Sequence[Iterable[int]], k: int) -> bool:
@@ -529,7 +539,7 @@ def exact_cover_exists(sets: Sequence[Iterable[int]], k: int) -> bool:
         mask = 0
         for e in f:
             if not 0 <= e < k:
-                raise ValueError(f"element {e} outside 0..{k - 1}")
+                raise ValueError(f"element {e + 1} outside 1..{k}")
             mask |= 1 << e
         reach |= {r | mask for r in reach if not r & mask}
     return (1 << k) - 1 in reach
@@ -567,15 +577,12 @@ def random_instance(
         raise ValueError("d, n, set_size must be >= 1 and cost_range >= 0")
     rng = random.Random(seed)
     bits: set[int] = set()
-    members = {0}
+    gens = []
     for _ in range(rng.randint(1, 3)):
         picks = [1 << (d - 1 - i) for i in rng.sample(range(d), rng.randint(1, min(4, d)))]
         bits.update(picks)
-        gen = sum(picks)
-        sub = gen
-        while sub:  # every nonzero submask of gen
-            members.add(sub)
-            sub = (sub - 1) & gen
+        gens.append(sum(picks))
+    members = _closure(gens)
 
     def maximal(m: int) -> bool:
         return not any(m | b in members for b in bits if not m & b)
@@ -586,12 +593,7 @@ def random_instance(
         members.remove(m)
         tops.remove(m)
         tops.update(filter(maximal, (m ^ b for b in bits if m & b)))
-    system = ExplicitSystem(
-        tuple(
-            tuple(map(int, format(m, f"0{d}b")))
-            for m in sorted(members, key=lambda m: (m.bit_count(), m))
-        )
-    )
+    system = ExplicitSystem(_canonical(members, d))
     rows = []
     for _ in range(d):
         row = [rng.randint(-cost_range, cost_range) for _ in range(n)]
@@ -601,18 +603,46 @@ def random_instance(
     return Instance(system, n, tuple(rows), None)
 
 
-def explicit_members(system: SystemSpec, budget: int = DEFAULT_BUDGET) -> ExplicitSystem:
-    """Materialize any supported system as an explicit member list."""
+def _members(system: SystemSpec, budget: int, n: int = 0, what: str = "") -> Sequence[Vector]:
+    """The members of a system: an explicit list's vectors in list order,
+    or the members of any other system in canonical order.  Bipartite
+    matchings are enumerated, at most budget of them; any other system
+    tests each of its 2^d vectors, at most budget of them.  For a brute
+    force named `what` over n >= 1 columns, the listing stops at the first
+    member past the largest count M with comb(M + n - 1, n) <= budget and
+    raises EnumerationBudgetExceeded."""
     if isinstance(system, ExplicitSystem):
-        return system
+        return system.vectors
+    d = system.ground_size()
+    limit, message = budget, f"matching enumeration exceeded budget {budget}"
+    if n >= 1:
+        # comb(M + n - 1, n) grows with M and is at least M, so M lies in 0..budget.
+        fits = bisect_right(range(budget + 1), budget, key=lambda m: comb(m + n - 1, n))
+        limit = max(fits - 1, 0)
+        message = (
+            f"{what}: more than {limit} members, so at least {comb(limit + n, n)} "
+            f"candidates, exceed budget {budget}"
+        )
     if isinstance(system, BipartiteMatchings):
         g = system.graph
-        vecs = _matchings([(l, g.left + r) for l, r in g.edges], budget)
+        masks = _matchings([(l, g.left + r) for l, r in g.edges], limit, message)
     else:
-        d = system.ground_size()
         _check_budget(2**d, budget, "membership enumeration")
-        vecs = tuple(v for v in product((0, 1), repeat=d) if system.contains(v))
-    return ExplicitSystem(tuple(sorted(vecs, key=lambda v: (sum(v), v))))
+        # product lists the vectors in vector order, so the k-th one has mask k.
+        # At most 2^d <= budget of them are members, so only a cap is exceeded.
+        found = (k for k, v in enumerate(product((0, 1), repeat=d)) if system.contains(v))
+        masks = list(islice(found, limit + 1))
+        if len(masks) > limit:
+            raise EnumerationBudgetExceeded(message)
+    return _canonical(masks, d)
+
+
+def explicit_members(system: SystemSpec, budget: int = DEFAULT_BUDGET) -> ExplicitSystem:
+    """Materialize any supported system as an explicit member list, in
+    canonical order."""
+    if isinstance(system, ExplicitSystem):
+        return system
+    return ExplicitSystem(_members(system, budget))
 
 
 def serialize(instance: Instance) -> bytes:
@@ -687,10 +717,6 @@ def _parse_int_pairs(raw, path: str, what: str) -> list[tuple[int, int]]:
             raise InstanceFormatError(f"{path}[{i}]: expected a pair of integers")
         out.append((item[0], item[1]))
     return out
-
-
-# Maps the characters "0" and "1" of a vector string to the values 0 and 1.
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _parse_system(obj, path: str) -> SystemSpec:

@@ -51,8 +51,9 @@ class IndependenceOracle:
             )
 
 
-# Maps the 0/1 bytes of a vector to the ASCII digits int(..., 2) reads.
+# Map the 0/1 bytes of a vector to the ASCII digits int(..., 2) reads, and back.
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bytes(v: tuple | bytes) -> bytes:
@@ -68,9 +69,10 @@ def _bytes(v: tuple | bytes) -> bytes:
 
 
 def _bitmasks(vectors: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], list[int]]:
-    """Canonical int tuples of the vectors and one bitmask per vector
-    (bit i = element i); raises ValueError on unequal lengths or entries
-    other than 0/1.  A bytes vector is read as its byte values."""
+    """Canonical int tuples of the vectors and one bitmask per vector, the
+    vector read in binary (element i at bit d-1-i, so mask order is vector
+    order); raises ValueError on unequal lengths or entries other than 0/1.
+    A bytes vector is read as its byte values."""
     raws: list[bytes] = []
     for v in vectors:
         if type(v) is not bytes:
@@ -81,7 +83,7 @@ def _bitmasks(vectors: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], lis
         if raw.strip(b"\x00\x01"):
             raise ValueError("explicit system vectors must be 0/1")
         raws.append(raw)
-    masks = [int(raw.translate(_DIGITS)[::-1] or b"0", 2) for raw in raws]
+    masks = [int(raw.translate(_DIGITS) or b"0", 2) for raw in raws]
     return tuple(map(tuple, raws)), masks
 
 
@@ -97,11 +99,19 @@ def _closed(members: set[int] | frozenset[int]) -> bool:
     return True
 
 
-def down_close(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
-    """Downward closure of a set of equal-length 0/1 vectors, sorted by
-    (popcount, bits)."""
-    vecs, masks = _bitmasks(vectors)
-    d = len(vecs[0]) if vecs else 0
+def _vectors(masks: Iterable[int], d: int) -> tuple[Vector, ...]:
+    """The d-element 0/1 vectors of the masks, in the given order."""
+    top = 1 << d  # a leading 1 keeps the leading zeros; for d = 0 each vector is ()
+    return tuple(tuple(bin(m | top)[3:].encode().translate(_BIT_VALUES)) for m in masks)
+
+
+def _canonical(masks: Iterable[int], d: int) -> tuple[Vector, ...]:
+    """The vectors of the masks in canonical member order: by size, then as vectors."""
+    return _vectors(sorted(masks, key=lambda m: (m.bit_count(), m)), d)
+
+
+def _closure(masks: Iterable[int]) -> set[int]:
+    """The masks and all their submasks."""
     seen = set(masks)
     stack = list(seen)
     while stack:
@@ -114,8 +124,14 @@ def down_close(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
-    out = (tuple(m >> i & 1 for i in range(d)) for m in seen)
-    return tuple(sorted(out, key=lambda v: (sum(v), v)))
+    return seen
+
+
+def down_close(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """Downward closure of a set of equal-length 0/1 vectors, in canonical
+    member order."""
+    vecs, masks = _bitmasks(vectors)
+    return _canonical(_closure(masks), len(vecs[0]) if vecs else 0)
 
 
 def is_downward_closed(vectors: Iterable[Sequence[int]]) -> bool:
@@ -136,9 +152,10 @@ class ExplicitSystem(IndependenceOracle):
 
     The constructor builds a prefix tree of the member supports: a node is
     a member's bitmask or a prefix of one, and its parent is the same mask
-    with the lowest set bit cleared.  Nodes are numbered in increasing mask
-    order (the root, mask 0, is node 0), so a parent precedes its children;
-    on a downward-closed system the nodes are exactly the members.
+    with the lowest set bit, its last element, cleared.  Nodes are numbered
+    in increasing mask order (the root, mask 0, is node 0), so a parent
+    precedes its children; on a downward-closed system the nodes are
+    exactly the members.
     maximize(w) costs one addition per node, vals[k] = vals[parent] +
     w[element], then picks the first member (in list order) of largest
     value.
@@ -163,6 +180,7 @@ class ExplicitSystem(IndependenceOracle):
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_member_set", frozenset(vecs))
         object.__setattr__(self, "downward_closed", _closed(mask_set))
+        d = len(vecs[0])
         nodes = {0}
         for m in masks:
             while m not in nodes:
@@ -171,7 +189,7 @@ class ExplicitSystem(IndependenceOracle):
         order = sorted(nodes)
         index = {m: k for k, m in enumerate(order)}
         tree = tuple(
-            (index[m & (m - 1)], (m & -m).bit_length() - 1) for m in order[1:]
+            (index[m & (m - 1)], d - (m & -m).bit_length()) for m in order[1:]
         )
         object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_member_nodes", tuple(index[m] for m in masks))
@@ -249,11 +267,11 @@ class PartitionMatroid(IndependenceOracle):
                 raise ValueError("block capacity must be nonnegative")
             for k, e in enumerate(elems):
                 if not 0 <= e < self.d:
-                    raise ValueError(f"block element {e} outside ground set")
+                    raise ValueError(f"block element {e + 1} outside ground set")
                 if e in seen:
                     # elems is sorted, so a repeat within it is its predecessor.
                     where = "twice in one block" if k and elems[k - 1] == e else "in two blocks"
-                    raise ValueError(f"element {e} appears {where}")
+                    raise ValueError(f"element {e + 1} appears {where}")
                 seen.add(e)
 
     def ground_size(self) -> int:
@@ -329,7 +347,7 @@ class GraphicMatroid(IndependenceOracle):
         object.__setattr__(self, "edges", edges)
         for u, v in edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
-                raise ValueError(f"edge ({u},{v}) references missing vertex")
+                raise ValueError(f"edge ({u + 1},{v + 1}) references missing vertex")
         local = _numbering(chain.from_iterable(edges))
         object.__setattr__(self, "_ends", tuple((local[u], local[v]) for u, v in edges))
         object.__setattr__(self, "_touched", len(local))
@@ -371,7 +389,7 @@ class BipartiteGraph:
         object.__setattr__(self, "edges", edges)
         for l, r in edges:
             if not (0 <= l < self.left and 0 <= r < self.right):
-                raise ValueError(f"edge ({l},{r}) outside vertex ranges")
+                raise ValueError(f"edge ({l + 1},{r + 1}) outside vertex ranges")
 
 
 # Largest edge weight for which BipartiteMatchings.maximize is exact.

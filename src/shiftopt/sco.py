@@ -36,10 +36,10 @@ from itertools import accumulate, compress, repeat
 from .core import (
     Matrix,
     Vector,
+    _check_same_shape,
     check_cost_shape,
     check_value_tables,
     congestion,
-    dims,
     first_unshifted_row,
 )
 from .dup import _lift_greedy, greedy_dup, greedy_ratio
@@ -119,8 +119,7 @@ def _best_prefixes(c: Matrix, uses: Iterable[int]) -> tuple[list[int], list[int]
 
 def potential_profit(c: Matrix, x: Matrix) -> PotentialProfile:
     """Best prefix profit and its smallest realizing congestion, per row."""
-    if dims(c) != dims(x):
-        raise ValueError(f"dimension mismatch: {dims(c)} vs {dims(x)}")
+    _check_same_shape(c, x)
     profits, retained = _best_prefixes(c, congestion(x))
     return PotentialProfile(tuple(profits), tuple(retained))
 
@@ -268,7 +267,7 @@ def _small_n_bound(n: int, ratio: Callable[[int], Fraction] = greedy_ratio) -> F
     if n == 4:
         b2, b4 = ratio(2), ratio(4)
         return 1 / (Fraction(4, 3) + Fraction(2, 5) / b2 + Fraction(7, 15) / b4)
-    raise ValueError(f"small-n bound defined only for n in {{2,3,4}}, got {n}")
+    raise ValueError(f"small-n algorithm supports n in {{2,3,4}}, got {n}")
 
 
 def small_n_approx(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResult:
@@ -280,9 +279,8 @@ def small_n_approx(oracle: IndependenceOracle, c: Matrix, n: int) -> ApproxResul
     NotDownwardClosedError on a system that is not downward closed.
     """
     _require_closed(oracle, "small_n_approx")
-    if n not in _SMALL_N_LEVELS:
-        raise ValueError(f"small-n algorithm supports n in {{2,3,4}}, got {n}")
-    return _best_level(oracle, c, n, _SMALL_N_LEVELS[n], _small_n_bound(n))
+    bound = _small_n_bound(n)  # rejects an n outside {2, 3, 4} before the table is read
+    return _best_level(oracle, c, n, _SMALL_N_LEVELS[n], bound)
 
 
 # Variant name (as the CLI spells it) -> (algorithm, proven ratio as a function of n).

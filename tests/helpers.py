@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from shiftopt import (
     BipartiteGraph,
     BipartiteMatchings,
+    EnumerationBudgetExceeded,
     ExplicitSystem,
     GraphicMatroid,
     IndependenceOracle,
@@ -129,6 +130,34 @@ def down_close_by_tuples(vectors):
                     seen.add(u)
                     stack.append(u)
     return tuple(sorted(seen, key=lambda v: (sum(v), v)))
+
+
+def matchings_by_tuples(ends, budget: int):
+    """Reference matching enumeration on tuples: all matchings (including
+    empty) of the edges `ends`, parallel ones allowed, each edge first left
+    out and then taken; EnumerationBudgetExceeded past `budget` of them."""
+    d = len(ends)
+    used: set[int] = set()
+    sel = [0] * d
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int) -> None:
+        if i == d:
+            if len(out) >= budget:
+                raise EnumerationBudgetExceeded(f"matching enumeration exceeded budget {budget}")
+            out.append(tuple(sel))
+            return
+        rec(i + 1)
+        x, y = ends[i]
+        if x not in used and y not in used:
+            used.update((x, y))
+            sel[i] = 1
+            rec(i + 1)
+            sel[i] = 0
+            used.difference_update((x, y))
+
+    rec(0)
+    return tuple(out)
 
 
 def is_downward_closed_by_tuples(vectors) -> bool:
@@ -270,7 +299,7 @@ def exact_cover_by_subfamilies(sets, k: int) -> bool:
         mask = 0
         for e in f:
             if not 0 <= e < k:
-                raise ValueError(f"element {e} outside 0..{k - 1}")
+                raise ValueError(f"element {e + 1} outside 1..{k}")
             mask |= 1 << e
         masks.append(mask)
     full = (1 << k) - 1

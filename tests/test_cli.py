@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -354,12 +355,7 @@ def _bench(tmp_path, *options):
 
 def _log_bound_one(monkeypatch):
     # The log variant claims ratio 1, which it misses on some trials.
-    ratio = APPROX_VARIANTS["log"][1]
-    monkeypatch.setitem(
-        APPROX_VARIANTS,
-        "log",
-        (lambda oracle, c, n: replace(log_approx(oracle, c, n), bound=Fraction(1)), ratio),
-    )
+    monkeypatch.setitem(APPROX_VARIANTS, "log", (log_approx, lambda n: Fraction(1)))
 
 
 def _explicit_file(tmp_path, c, system):
@@ -460,9 +456,10 @@ def test_bench_summary_lines_for_the_criterion_10_configuration(tmp_path, capsys
         (["coloring", "--vertices", "4", "--edges", "1-2,3"], "bad edge '3'; expected u-v"),
         (["hexagon", "--k", "3", "--sets", ";"], "empty set family"),
         (["congestion", "--n", "2", "--sets", ";"], "empty congestion set list"),
-        # A triangle and an isolated vertex 4 (0-based 3).
+        # A triangle and an isolated vertex 4.
         (["independent-set", "--vertices", "4", "--n", "3", "--edges", "1-2,2-3,1-3"],
-         "vertex 3 lies on no edge"),
+         "vertex 4 lies on no edge"),
+        (["coloring", "--vertices", "2", "--edges", "1-1"], "self-loop at vertex 1"),
     ],
 )
 def test_gadget_option_errors(tmp_path, capsys, argv, message):
@@ -704,6 +701,44 @@ def test_solve_exact_on_a_1200_edge_bipartite_star_is_a_validation_error(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == RECURSION_ERROR
+
+
+def test_solve_exact_member_cap_is_exact_at_its_boundary(tmp_path, capsys):
+    # A uniform matroid with d = 5 and rank 5 has 32 members, whose 2-multisets
+    # number comb(33, 2) = 528.
+    doc = {"version": 1, "n": 2, "c": [[1, 0]] * 5,
+           "system": {"kind": "uniform", "d": 5, "rank": 5}}
+    path = write_document(tmp_path, doc)
+    assert main(["solve", path, "--variant", "exact", "--budget", "528"]) == 0
+    assert capsys.readouterr().out.startswith("variant: exact\nvalue: 5\n")
+    assert main(["solve", path, "--variant", "exact", "--budget", "527"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "validation error: shifted brute force: more than 31 members, "
+        "so at least 528 candidates, exceed budget 527\n"
+    )
+
+
+def test_solve_exact_on_the_3_set_hexagon_gadget_stops_at_the_member_cap(tmp_path, capsys):
+    # The 36-edge gadget has 3,595,796 matchings; at n = 2 no list above 446
+    # members fits a budget of 10^5, so the listing stops at the 447th.
+    out = tmp_path / "hexagon.json"
+    argv = ["gadget", "hexagon", "--k", "6", "--sets", "1,2,3;4,5,6;1,4,5", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["solve", str(out), "--variant", "exact", "--budget", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "validation error: shifted brute force: more than 446 members, "
+        "so at least 100128 candidates, exceed budget 100000\n"
+    )
+    assert peak < 5_000_000
 
 
 def test_gadget_coloring_of_a_2200_vertex_prism_is_a_validation_error(tmp_path, capsys):

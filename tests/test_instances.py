@@ -15,6 +15,7 @@ from helpers import (
     exact_cover_by_subfamilies,
     explicit_lists,
     generalized_value_by_tuples,
+    matchings_by_tuples,
     rand_binary,
     rand_closed_system,
     rand_cost,
@@ -447,9 +448,9 @@ def test_coloring_gadget_petersen_infeasible():
 def test_independent_set_gadget_rejects_an_isolated_vertex():
     # A triangle and an isolated vertex have no independent set of size 3,
     # yet the empty star of vertex 3 taken twice would meet the target.
-    with pytest.raises(ValueError, match="^vertex 3 lies on no edge$"):
+    with pytest.raises(ValueError, match="^vertex 4 lies on no edge$"):
         independent_set_gadget(Graph(4, TRIANGLE.edges), 3)
-    with pytest.raises(ValueError, match="^vertex 0 lies on no edge$"):
+    with pytest.raises(ValueError, match="^vertex 1 lies on no edge$"):
         independent_set_gadget(Graph(3, ((1, 2),)), 1)
 
 
@@ -763,6 +764,75 @@ def test_explicit_members_lists_what_contains_accepts(system):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    systems(max_d=5).filter(lambda s: not isinstance(s, ExplicitSystem)),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+)
+@example(BipartiteMatchings(BipartiteGraph(2, 2, ((0, 0), (0, 0), (1, 1)))), 2, 0)
+@example(GraphicMatroid(2, ((0, 1), (0, 1), (1, 1))), 2, 0)
+@example(UniformMatroid(0, 0), 2, 0)
+@example(UniformMatroid(4, 0), 3, 0)
+@example(PartitionMatroid(4, (((0, 1), 0), ((2, 3), 1))), 2, 0)
+@example(BipartiteMatchings(BipartiteGraph(1, 1, ())), 1, 0)
+def test_brute_forces_list_the_members_of_any_system_kind(system, n, seed):
+    # Each brute force gives the same value and witness on the system as on
+    # its explicit member list.
+    explicit = explicit_members(system)
+    d = system.ground_size()
+    rng = random.Random(seed)
+    c = rand_cost(rng, d, n)
+    assert brute_force_sco(system, c, n) == brute_force_sco(explicit, c, n)
+    w = [rng.randint(-9, 9) for _ in range(d)]
+    assert brute_force_dup(system, n, w) == brute_force_dup(explicit, n, w)
+    tables = tuple(tuple(rng.randint(-9, 9) for _ in range(n + 1)) for _ in range(d))
+    assert brute_force_generalized(system, tables, n) == brute_force_generalized(
+        explicit, tables, n
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=7))
+@example([(0, 0), (0, 0), (1, 1), (0, 1)])
+def test_matchings_follow_the_tuple_enumeration_in_order(edges):
+    # Bipartite edges may be parallel; the plain graph's edges are simple.
+    expected = matchings_by_tuples([(l, 4 + r) for l, r in edges], 10**6)
+    members = explicit_members(BipartiteMatchings(BipartiteGraph(4, 4, tuple(edges))))
+    assert members.vectors == tuple(sorted(expected, key=lambda v: (sum(v), v)))
+    graph = bipartite_to_graph(BipartiteGraph(4, 4, tuple(dict.fromkeys(edges))))
+    assert all_matchings(graph) == matchings_by_tuples(graph.edges, 10**6)
+
+
+_UNIFORM_13 = UniformMatroid(13, 13)
+# 2^5 vectors would exceed a budget of 31, so n = 1 is checked on 2^5 matchings.
+_FIVE_EDGES = BipartiteMatchings(BipartiteGraph(5, 5, tuple((i, i) for i in range(5))))
+
+
+@pytest.mark.parametrize(
+    "search, budget, message",
+    [
+        (lambda b: brute_force_sco(_UNIFORM_13, ((0, 0),) * 13, 2, b), 10**7,
+         "shifted brute force: more than 4471 members, so at least 10001628 candidates"),
+        (lambda b: brute_force_sco(_UNIFORM_13, ((0, 0, 0),) * 13, 3, b), 10**7,
+         "shifted brute force: more than 390 members, so at least 10039316 candidates"),
+        (lambda b: brute_force_sco(_FIVE_EDGES, ((0,),) * 5, 1, b), 31,
+         "shifted brute force: more than 31 members, so at least 32 candidates"),
+        (lambda b: brute_force_dup(_UNIFORM_13, 2, (0,) * 13, b), 10**7,
+         "disjoint union brute force: more than 4471 members, so at least 10001628 candidates"),
+        (lambda b: brute_force_generalized(_UNIFORM_13, ((0,) * 4,) * 13, 3, b), 10**7,
+         "generalized brute force: more than 390 members, so at least 10039316 candidates"),
+    ],
+    ids=["sco-n2", "sco-n3", "sco-n1", "dup-k2", "generalized-n3"],
+)
+def test_brute_force_member_cap(search, budget, message):
+    # The listing stops at the first member past the largest count M with
+    # comb(M + n - 1, n) <= budget, before all 2^13 members (or 2^5 matchings) are built.
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        search(budget)
+    assert str(info.value) == f"{message}, exceed budget {budget}"
+
+
 def test_explicit_members_memory_ignores_untouched_bipartite_vertices():
     # One edge among 200,000 + 200,000 declared vertices: the enumeration
     # must be sized by the matched vertices, not by the declared counts.
@@ -836,12 +906,12 @@ def _parse_with(**change):
                 system={"kind": "partition", "d": 3, "blocks": [{"elements": [1, 1], "capacity": 1}]}
             ),
             InstanceFormatError,
-            "system: element 0 appears twice in one block",
+            "system: element 1 appears twice in one block",
         ),
         (
             lambda: independent_set_gadget(Graph(4, TRIANGLE.edges), 3),
             ValueError,
-            "vertex 3 lies on no edge",
+            "vertex 4 lies on no edge",
         ),
         (
             lambda: all_matchings(PATH3, budget=2),

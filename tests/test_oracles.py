@@ -254,12 +254,12 @@ def test_matroids_and_matchings_are_downward_closed():
         (lambda: UniformMatroid(-1, 0), "d and rank must be nonnegative"),
         (lambda: UniformMatroid(2, -1), "d and rank must be nonnegative"),
         (lambda: PartitionMatroid(2, (((0,), -1),)), "block capacity must be nonnegative"),
-        (lambda: PartitionMatroid(2, (((2,), 1),)), "block element 2 outside ground set"),
-        (lambda: PartitionMatroid(2, (((0,), 1), ((0, 1), 1))), "element 0 appears in two blocks"),
-        (lambda: PartitionMatroid(3, (((0, 0), 1),)), "element 0 appears twice in one block"),
-        (lambda: GraphicMatroid(2, ((0, 2),)), "edge (0,2) references missing vertex"),
+        (lambda: PartitionMatroid(2, (((2,), 1),)), "block element 3 outside ground set"),
+        (lambda: PartitionMatroid(2, (((0,), 1), ((0, 1), 1))), "element 1 appears in two blocks"),
+        (lambda: PartitionMatroid(3, (((0, 0), 1),)), "element 1 appears twice in one block"),
+        (lambda: GraphicMatroid(2, ((0, 2),)), "edge (1,3) references missing vertex"),
         (lambda: BipartiteGraph(-1, 1, ()), "vertex counts must be nonnegative"),
-        (lambda: BipartiteGraph(1, 1, ((0, 1),)), "edge (0,1) outside vertex ranges"),
+        (lambda: BipartiteGraph(1, 1, ((0, 1),)), "edge (1,2) outside vertex ranges"),
         (lambda: LiftedOracle(UniformMatroid(2, 1), 0), "n must be >= 1"),
     ],
     ids=[
