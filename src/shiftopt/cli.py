@@ -10,11 +10,11 @@ Subcommands:
 Exit codes: 0 ok, 1 I/O, parse or missing-dependency error, 2 validation
 error (including a variant applied to an instance it does not support,
 such as an approximation variant on a system that is not downward closed,
-a solution column outside the system, n above MAX_N in solve, bench and
-the gadgets that take or read an n, and an input too large for a
-recursive search), 3 bound violation detected by bench.  Subcommands
-raise; `main` is the one place that turns an error into a stderr line and
-an exit code.
+a solution column outside the system, n outside 1..MAX_N in solve, bench
+and the gadgets that take or read an n, and a graph too large for the
+recursive perfect-matching search of `gadget coloring`), 3 bound violation
+detected by bench.  Subcommands raise; `main` is the one place that turns
+an error into a stderr line and an exit code.
 """
 
 from __future__ import annotations
@@ -53,14 +53,16 @@ from .sco import APPROX_VARIANTS, NotDownwardClosedError, convex_identical
 
 VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
-# The largest n that solve, bench and the gadgets accept: the exact search
-# recurses once per column, far below the default limit of 1000, and every
-# printed bound (about n log10 n digits) stays under the 4300-digit
-# int-to-str limit.
+# The largest n that solve, bench and the gadgets accept (the smallest is 1):
+# the exact search recurses once per column, far below the default limit of
+# 1000, and every printed bound (about n log10 n digits) stays under the
+# 4300-digit int-to-str limit.
 MAX_N = 512
 
 
 def _check_columns(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the limit of {MAX_N} columns")
 
@@ -359,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"error: {exc}", 1
     except (ValueError, EnumerationBudgetExceeded) as exc:
         message, code = f"validation error: {exc}", 2
-    except RecursionError:  # the exact and perfect-matching searches recurse per edge
+    except RecursionError:  # perfect_matchings (gadget coloring) recurses per matched pair
         message, code = (
             "validation error: input too large for a recursive search "
             "(maximum recursion depth exceeded)"

@@ -36,6 +36,7 @@ from .core import (
 from .dup import OrthogonalSelection
 from .oracles import (
     _BIT_VALUES,
+    _DIGITS,
     BipartiteGraph,
     BipartiteMatchings,
     ExplicitSystem,
@@ -44,6 +45,7 @@ from .oracles import (
     UniformMatroid,
     _canonical,
     _closure,
+    _numbering,
     _vectors,
 )
 
@@ -448,7 +450,8 @@ def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
 
     At each step the unmatched vertex with fewest available partners is
     matched (fail-first), so infeasible graphs die quickly.  A graph with
-    an isolated vertex has none, found before any per-vertex work.
+    an isolated vertex has none, found before any per-vertex work.  The
+    matchings found are held as edge masks until the search ends.
     """
     nv = graph.num_vertices
     d = len(graph.edges)
@@ -456,14 +459,14 @@ def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
         return ()
     incident: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
     for idx, (x, y) in enumerate(graph.edges):
-        incident[x].append((idx, y))
-        incident[y].append((idx, x))
+        bit = 1 << (d - 1 - idx)
+        incident[x].append((bit, y))
+        incident[y].append((bit, x))
     matched = [False] * nv
-    chosen: list[int] = []
-    out: list[Vector] = []
+    out: list[int] = []
     nodes = 0
 
-    def rec() -> None:
+    def rec(mask: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -475,59 +478,54 @@ def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
         for vx in range(nv):
             if matched[vx]:
                 continue
-            opts = [(e, o) for e, o in incident[vx] if not matched[o]]
+            opts = [(bit, o) for bit, o in incident[vx] if not matched[o]]
             if not opts:
                 return
             if pick_opts is None or len(opts) < len(pick_opts):
                 pick, pick_opts = vx, opts
         if pick == -1:
-            ind = [0] * d
-            for e in chosen:
-                ind[e] = 1
-            out.append(tuple(ind))
+            out.append(mask)
             return
         matched[pick] = True
-        for e, o in pick_opts:
+        for bit, o in pick_opts:
             matched[o] = True
-            chosen.append(e)
-            rec()
-            chosen.pop()
+            rec(mask | bit)
             matched[o] = False
         matched[pick] = False
 
-    rec()
-    return tuple(out)
+    rec(0)
+    return _vectors(out, d)
 
 
 def _matchings(ends: Sequence[tuple[int, int]], limit: int, message: str) -> list[int]:
     """The edge masks (edge i at bit d-1-i) of all matchings, the empty one
-    included, of the edges `ends`, parallel ones allowed, in increasing
-    order; raises EnumerationBudgetExceeded(message) past `limit` of them."""
+    included, of the edges `ends`, parallel ones allowed, in no set order;
+    raises EnumerationBudgetExceeded(message) past `limit` of them.
+
+    Edge i extends each matching of the edges before it that touches
+    neither of its ends.  A matching is one int, its edge mask above the
+    mask of its vertices (numbered over the touched ones only), and at most
+    limit + 1 matchings are ever held."""
     d = len(ends)
-    used: set[int] = set()  # sized by the matched vertices, not the declared ones
-    out: list[int] = []
-
-    def rec(i: int, mask: int) -> None:
-        if i == d:
-            if len(out) >= limit:
-                raise EnumerationBudgetExceeded(message)
-            out.append(mask)
-            return
-        rec(i + 1, mask)
-        x, y = ends[i]
-        if x not in used and y not in used:
-            used.update((x, y))
-            rec(i + 1, mask | 1 << (d - 1 - i))
-            used.difference_update((x, y))
-
-    rec(0, 0)
-    return out
+    local = _numbering(chain.from_iterable(ends))
+    low = len(local)
+    grown = [0]
+    for i, (x, y) in enumerate(ends):
+        if len(grown) > limit:
+            break
+        pair = 1 << local[x] | 1 << local[y]
+        edge = 1 << (d - 1 - i + low) | pair
+        fresh = (g | edge for g in grown if not g & pair)
+        grown = [*grown, *islice(fresh, limit + 1 - len(grown))]
+    if len(grown) > limit:
+        raise EnumerationBudgetExceeded(message)
+    return [g >> low for g in grown]
 
 
 def all_matchings(graph: Graph, budget: int = DEFAULT_BUDGET) -> tuple[Vector, ...]:
     """All matchings (including empty) as edge indicator vectors, in vector order."""
     message = f"matching enumeration exceeded budget {budget}"
-    return _vectors(_matchings(graph.edges, budget, message), len(graph.edges))
+    return _vectors(sorted(_matchings(graph.edges, budget, message)), len(graph.edges))
 
 
 def exact_cover_exists(sets: Sequence[Iterable[int]], k: int) -> bool:
@@ -652,7 +650,7 @@ def serialize(instance: Instance) -> bytes:
     if isinstance(system, ExplicitSystem):
         obj["system"] = {
             "kind": "explicit",
-            "vectors": ["".join(str(b) for b in v) for v in system.vectors],
+            "vectors": [bytes(v).translate(_DIGITS).decode() for v in system.vectors],
             "downward_closed": system.downward_closed,
         }
     elif isinstance(system, UniformMatroid):

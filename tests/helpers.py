@@ -160,6 +160,59 @@ def matchings_by_tuples(ends, budget: int):
     return tuple(out)
 
 
+def perfect_matchings_by_tuples(graph, budget: int = 10**6):
+    """Reference perfect-matching search on tuples: fail-first backtracking
+    that keeps the chosen edge indices and builds a d-entry indicator tuple
+    per perfect matching; EnumerationBudgetExceeded past `budget` nodes."""
+    nv = graph.num_vertices
+    d = len(graph.edges)
+    if nv % 2 or graph.isolated_vertex() is not None:
+        return ()
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for idx, (x, y) in enumerate(graph.edges):
+        incident[x].append((idx, y))
+        incident[y].append((idx, x))
+    matched = [False] * nv
+    chosen: list[int] = []
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def rec() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise EnumerationBudgetExceeded(
+                f"perfect matching enumeration exceeded budget {budget}"
+            )
+        pick = -1
+        pick_opts: list[tuple[int, int]] | None = None
+        for vx in range(nv):
+            if matched[vx]:
+                continue
+            opts = [(e, o) for e, o in incident[vx] if not matched[o]]
+            if not opts:
+                return
+            if pick_opts is None or len(opts) < len(pick_opts):
+                pick, pick_opts = vx, opts
+        if pick == -1:
+            ind = [0] * d
+            for e in chosen:
+                ind[e] = 1
+            out.append(tuple(ind))
+            return
+        matched[pick] = True
+        for e, o in pick_opts:
+            matched[o] = True
+            chosen.append(e)
+            rec()
+            chosen.pop()
+            matched[o] = False
+        matched[pick] = False
+
+    rec()
+    return tuple(out)
+
+
 def is_downward_closed_by_tuples(vectors) -> bool:
     """Reference closure check: every single-1 removal is a member."""
     members = {tuple(v) for v in vectors}

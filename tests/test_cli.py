@@ -639,6 +639,16 @@ def test_solve_runs_every_variant_at_512_columns(tmp_path, capsys):
         assert out.startswith(f"variant: {variant}\nvalue: 0\nbound: ")
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_bench_rejects_fewer_than_one_column_before_any_work(tmp_path, capsys, n):
+    code, out = run_bench(tmp_path, "bench.csv", extra=["--n", n])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validation error: n must be >= 1\n"
+    assert not out.exists()
+
+
 def test_bench_rejects_more_than_512_columns_before_any_work(tmp_path, capsys):
     code, out = run_bench(tmp_path, "bench.csv", extra=["--n", "513"])
     assert code == 2
@@ -692,15 +702,30 @@ RECURSION_ERROR = (
 )
 
 
-def test_solve_exact_on_a_1200_edge_bipartite_star_is_a_validation_error(tmp_path, capsys):
-    # 1201 matchings, far under the budget, but the search recurses once per edge.
+def test_solve_exact_on_a_1200_edge_bipartite_star_lists_its_1201_matchings(tmp_path, capsys):
+    # The matchings are grown edge by edge, so the search depth does not grow
+    # with the edge count.
     doc = {"version": 1, "n": 1, "c": [[1]] * 1200, "system": {
         "kind": "bipartite", "left": 1, "right": 1200,
         "edges": [[1, j] for j in range(1, 1201)]}}
+    assert main(["solve", write_document(tmp_path, doc), "--variant", "exact"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("variant: exact\nvalue: 1\n")
+    assert captured.err == ""
+
+
+def test_solve_exact_on_1100_disjoint_edges_stops_at_the_member_cap(tmp_path, capsys):
+    # 2^1100 matchings: at n = 2 the listing stops at the 4472nd.
+    doc = {"version": 1, "n": 2, "c": [[1, 0]] * 1100, "system": {
+        "kind": "bipartite", "left": 1100, "right": 1100,
+        "edges": [[j, j] for j in range(1, 1101)]}}
     assert main(["solve", write_document(tmp_path, doc), "--variant", "exact"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == RECURSION_ERROR
+    assert captured.err == (
+        "validation error: shifted brute force: more than 4471 members, "
+        "so at least 10001628 candidates, exceed budget 10000000\n"
+    )
 
 
 def test_solve_exact_member_cap_is_exact_at_its_boundary(tmp_path, capsys):

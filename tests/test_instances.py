@@ -16,6 +16,7 @@ from helpers import (
     explicit_lists,
     generalized_value_by_tuples,
     matchings_by_tuples,
+    perfect_matchings_by_tuples,
     rand_binary,
     rand_closed_system,
     rand_cost,
@@ -33,6 +34,7 @@ from shiftopt import (
     GraphicMatroid,
     Instance,
     InstanceFormatError,
+    LiftedOracle,
     Meta,
     OrthogonalSelection,
     PartitionMatroid,
@@ -45,15 +47,20 @@ from shiftopt import (
     brute_force_generalized,
     brute_force_sco,
     coloring_gadget,
+    congestion,
     congestion_feasible,
     congestion_to_cost,
+    convex_identical,
     exact_cover_exists,
     explicit_members,
+    from_columns,
     game_to_cost,
+    greedy_ratio,
     hexagon_gadget,
     independent_set_gadget,
     is_downward_closed,
     is_shifted,
+    level_candidate,
     matrix,
     parse,
     perfect_matchings,
@@ -793,15 +800,91 @@ def test_brute_forces_list_the_members_of_any_system_kind(system, n, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=7))
-@example([(0, 0), (0, 0), (1, 1), (0, 1)])
-def test_matchings_follow_the_tuple_enumeration_in_order(edges):
-    # Bipartite edges may be parallel; the plain graph's edges are simple.
-    expected = matchings_by_tuples([(l, 4 + r) for l, r in edges], 10**6)
-    members = explicit_members(BipartiteMatchings(BipartiteGraph(4, 4, tuple(edges))))
-    assert members.vectors == tuple(sorted(expected, key=lambda v: (sum(v), v)))
-    graph = bipartite_to_graph(BipartiteGraph(4, 4, tuple(dict.fromkeys(edges))))
-    assert all_matchings(graph) == matchings_by_tuples(graph.edges, 10**6)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=7),
+    st.sampled_from([1, 1_000, 250_000]),
+)
+@example([(0, 0), (0, 0), (1, 1), (0, 1)], 1)
+@example([(0, 0), (0, 0), (1, 1), (0, 1)], 250_000)
+@example([], 1)
+def test_matchings_follow_the_tuple_enumeration_in_order(edges, spread):
+    # Side vertex v is numbered v * spread, so at a wide spread the declared
+    # counts lie far above the at most 8 touched vertices.  Bipartite edges
+    # may be parallel; the plain graph's edges are simple.
+    side = 4 * spread
+    edges = [(l * spread, r * spread) for l, r in edges]
+    expected = matchings_by_tuples([(l, side + r) for l, r in edges], 10**6)
+    expected = tuple(sorted(expected, key=lambda v: (sum(v), v)))
+    system = BipartiteMatchings(BipartiteGraph(side, side, tuple(edges)))
+    assert explicit_members(system).vectors == expected
+    graph = bipartite_to_graph(BipartiteGraph(side, side, tuple(dict.fromkeys(edges))))
+    listed = matchings_by_tuples(graph.edges, 10**6)
+    assert all_matchings(graph) == listed
+    # A budget of exactly the number of matchings lists them all; one less
+    # raises, naming that budget.
+    assert explicit_members(system, len(expected)).vectors == expected
+    assert all_matchings(graph, len(listed)) == listed
+    for search, size in ((lambda b: explicit_members(system, b), len(expected)),
+                         (lambda b: all_matchings(graph, b), len(listed))):
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            search(size - 1)
+        assert str(info.value) == f"matching enumeration exceeded budget {size - 1}"
+
+
+@st.composite
+def small_simple_graphs(draw):
+    """Simple graphs on up to 8 vertices, edges in a drawn order."""
+    nv = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(nv, tuple(edges))
+
+
+@st.composite
+def hexagon_graphs(draw):
+    """The plain graphs of hexagon gadgets of up to three 3-sets over 1..6."""
+    family = draw(st.lists(
+        st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True), min_size=1, max_size=3
+    ))
+    return bipartite_to_graph(hexagon_gadget(family, 6)[0])
+
+
+def _listed_or_budget_message(search, graph, budget):
+    try:
+        return search(graph, budget)
+    except EnumerationBudgetExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_simple_graphs() | hexagon_graphs(), st.just(10**6) | st.integers(1, 60))
+@example(K4, 10**6)
+@example(petersen(), 10**6)
+@example(petersen(), 5)
+@example(Graph(0, ()), 1)
+def test_perfect_matchings_follow_the_tuple_search_in_order(graph, budget):
+    # Element for element and in search order, or the same budget message.
+    assert _listed_or_budget_message(perfect_matchings, graph, budget) == (
+        _listed_or_budget_message(perfect_matchings_by_tuples, graph, budget)
+    )
+
+
+def test_perfect_matchings_hold_edge_masks_not_tuples():
+    # The cubic prism C_100 x K_2 (300 edges): 3000 search nodes find 690
+    # perfect matchings, which as 300-entry tuples peaked at about 1.8 MB.
+    m = 100
+    edges = []
+    for i in range(m):
+        edges += [(i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i)]
+    graph = Graph(2 * m, tuple(edges))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetExceeded):
+            perfect_matchings(graph, budget=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 _UNIFORM_13 = UniformMatroid(13, 13)
@@ -834,12 +917,16 @@ def test_brute_force_member_cap(search, budget, message):
 
 
 def test_explicit_members_memory_ignores_untouched_bipartite_vertices():
-    # One edge among 200,000 + 200,000 declared vertices: the enumeration
-    # must be sized by the matched vertices, not by the declared counts.
+    # One edge, and ten disjoint edges at the top ids, among 200,000 +
+    # 200,000 declared vertices: the enumeration must be sized by the
+    # matched vertices, not by the declared counts.
     system = BipartiteMatchings(BipartiteGraph(200_000, 200_000, ((1500, 7),)))
+    top = tuple((199_990 + i, 199_990 + i) for i in range(10))
+    disjoint = BipartiteMatchings(BipartiteGraph(200_000, 200_000, top))
     tracemalloc.start()
     try:
         assert explicit_members(system).vectors == ((0,), (1,))
+        assert len(explicit_members(disjoint).vectors) == 2**10
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -851,6 +938,8 @@ def test_congestion_feasible_trivial_prescription():
     pc = PrescribedCongestion(2, tuple(frozenset({0, 1, 2}) for _ in range(4)))
     assert congestion_feasible(sys_.vectors, pc)
 
+
+_ONE = ExplicitSystem(((0,), (1,)))
 
 _DOCUMENT = {
     "version": 1,
@@ -923,6 +1012,57 @@ def _parse_with(**change):
             EnumerationBudgetExceeded,
             "perfect matching enumeration exceeded budget 1",
         ),
+        (
+            lambda: brute_force_generalized(_ONE, (), 1),
+            ValueError,
+            "0 value tables for ground size 1",
+        ),
+        (
+            lambda: brute_force_generalized(_ONE, ((0, 1, 2),), 1),
+            ValueError,
+            "value table for element 1 must have 2 entries",
+        ),
+        (lambda: from_columns([]), ValueError, "at least one column required"),
+        (lambda: from_columns([(0,), (0, 1)]), ValueError, "columns of unequal length"),
+        (lambda: congestion(((0, 2),)), ValueError, "solution entries must be 0/1, row 1 has 2"),
+        (lambda: greedy_ratio(0), ValueError, "k must be >= 1"),
+        (lambda: brute_force_dup(_ONE, 0, (1,)), ValueError, "k must be >= 1"),
+        (
+            lambda: congestion_feasible([(0, 1)], PrescribedCongestion(1, (frozenset({0}),))),
+            ValueError,
+            "vector length does not match congestion sets",
+        ),
+        (
+            lambda: game_to_cost(((0,), (0, 1))),
+            ValueError,
+            "value tables must share a common length n+1 with n >= 1",
+        ),
+        (
+            lambda: social_cost(((0, 1),), ((1,), (0,))),
+            ValueError,
+            "value tables do not match matrix rows",
+        ),
+        (lambda: hexagon_gadget([], 3), ValueError, "at least one subset required"),
+        (
+            lambda: random_instance(0, d=0, n=1, set_size=1, cost_range=0, shifted=False),
+            ValueError,
+            "d, n, set_size must be >= 1 and cost_range >= 0",
+        ),
+        (
+            lambda: serialize(Instance(LiftedOracle(UniformMatroid(1, 1), 1), 1, ((0,),))),
+            TypeError,
+            "unsupported system type LiftedOracle",
+        ),
+        (
+            lambda: level_candidate(UniformMatroid(1, 1), ((1,),), 1, 2, 1),
+            ValueError,
+            "invalid level: k=2, copies=1, n=1",
+        ),
+        (
+            lambda: convex_identical(UniformMatroid(1, 1), ((0,),), 0),
+            ValueError,
+            "n must be >= 1",
+        ),
     ],
     ids=[
         "cost-rows",
@@ -937,9 +1077,36 @@ def _parse_with(**change):
         "isolated-vertex",
         "matching-budget",
         "perfect-matching-budget",
+        "value-table-count",
+        "value-table-length",
+        "no-columns",
+        "unequal-columns",
+        "congestion-not-binary",
+        "greedy-ratio-k",
+        "dup-brute-force-k",
+        "congestion-vector-length",
+        "game-table-lengths",
+        "social-cost-rows",
+        "hexagon-no-subset",
+        "random-instance-sizes",
+        "serialize-unknown-system",
+        "invalid-level",
+        "convex-n",
     ],
 )
 def test_documented_errors_carry_their_messages(run, error, message):
     with pytest.raises(error) as info:
         run()
     assert str(info.value) == message
+
+
+def test_generalized_brute_force_at_n_0_is_the_sum_of_the_values_at_0():
+    tables = ((3,), (-4,), (5,))
+    assert brute_force_generalized(UniformMatroid(3, 1), tables, 0) == 4
+    assert brute_force_generalized(ExplicitSystem(((0, 0, 0),)), tables, 0) == 4
+
+
+def test_explicit_members_returns_an_explicit_system_unchanged():
+    # List order is kept, not replaced by canonical order.
+    system = ExplicitSystem(((1, 0), (0, 0), (0, 1)))
+    assert explicit_members(system) is system
