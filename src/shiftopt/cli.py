@@ -11,10 +11,10 @@ Exit codes: 0 ok, 1 I/O, parse or missing-dependency error, 2 validation
 error (including a variant applied to an instance it does not support,
 such as an approximation variant on a system that is not downward closed,
 a solution column outside the system, n outside 1..MAX_N in solve, bench
-and the gadgets that take or read an n, and a graph too large for the
-recursive perfect-matching search of `gadget coloring`), 3 bound violation
-detected by bench.  Subcommands raise; `main` is the one place that turns
-an error into a stderr line and an exit code.
+and the gadgets that take or read an n, and a graph whose perfect
+matchings exceed the search's node budget in `gadget coloring`), 3 bound
+violation detected by bench.  Subcommands raise; `main` is the one place
+that turns an error into a stderr line and an exit code.
 """
 
 from __future__ import annotations
@@ -361,10 +361,5 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"error: {exc}", 1
     except (ValueError, EnumerationBudgetExceeded) as exc:
         message, code = f"validation error: {exc}", 2
-    except RecursionError:  # perfect_matchings (gadget coloring) recurses per matched pair
-        message, code = (
-            "validation error: input too large for a recursive search "
-            "(maximum recursion depth exceeded)"
-        ), 2
     print(message, file=sys.stderr)
     return code

@@ -289,8 +289,7 @@ def game_to_cost(tables: CostTables) -> Matrix:
 
 def social_cost(tables: CostTables, x: Matrix) -> int:
     """Sum of per-element costs evaluated at the congestion of x."""
-    if len(tables) != len(x):
-        raise ValueError("value tables do not match matrix rows")
+    check_value_tables(tables, dims(x)[1], len(x))
     m = congestion(x)
     return sum(t[mi] for t, mi in zip(tables, m))
 
@@ -448,10 +447,14 @@ def bipartite_to_graph(g: BipartiteGraph) -> Graph:
 def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
     """All perfect matchings as edge indicator vectors, by backtracking.
 
-    At each step the unmatched vertex with fewest available partners is
-    matched (fail-first), so infeasible graphs die quickly.  A graph with
-    an isolated vertex has none, found before any per-vertex work.  The
-    matchings found are held as edge masks until the search ends.
+    At each step the lowest unmatched vertex with fewest unmatched partners
+    is matched (fail-first), so infeasible graphs die quickly.  free[v]
+    counts v's unmatched partners and by_free[k] holds the unmatched
+    vertices with k of them; matching or freeing a vertex updates only its
+    partners, so a search node costs O(degree).  The search keeps its own
+    stack, not the interpreter's.  A graph with an isolated vertex has none,
+    found before any per-vertex work.  The matchings found are held as edge
+    masks until the search ends.
     """
     nv = graph.num_vertices
     d = len(graph.edges)
@@ -462,39 +465,55 @@ def perfect_matchings(graph: Graph, budget: int = 10**6) -> tuple[Vector, ...]:
         bit = 1 << (d - 1 - idx)
         incident[x].append((bit, y))
         incident[y].append((bit, x))
+    free = [len(opts) for opts in incident]
+    by_free: list[set[int]] = [set() for _ in range(max(free, default=0) + 1)]
+    for v, k in enumerate(free):
+        by_free[k].add(v)
     matched = [False] * nv
-    out: list[int] = []
-    nodes = 0
 
-    def rec(mask: int) -> None:
-        nonlocal nodes
+    def flip(v: int, step: int) -> None:
+        """Match v (step -1) or free it (step 1): v leaves or rejoins its
+        bucket, and each partner's count moves by step."""
+        matched[v] = step < 0
+        by_free[free[v]] ^= {v}
+        for _, w in incident[v]:
+            if not matched[w]:
+                by_free[free[w]].remove(w)
+                by_free[free[w] + step].add(w)
+            free[w] += step
+
+    out: list[int] = []
+    stack: list[list] = []  # frames [mask before the pick, pick, its options, options tried]
+    mask = nodes = 0
+    while True:
         nodes += 1
         if nodes > budget:
             raise EnumerationBudgetExceeded(
                 f"perfect matching enumeration exceeded budget {budget}"
             )
-        pick = -1
-        pick_opts: list[tuple[int, int]] | None = None
-        for vx in range(nv):
-            if matched[vx]:
-                continue
-            opts = [(bit, o) for bit, o in incident[vx] if not matched[o]]
-            if not opts:
-                return
-            if pick_opts is None or len(opts) < len(pick_opts):
-                pick, pick_opts = vx, opts
-        if pick == -1:
+        fewest = next((bucket for bucket in by_free if bucket), None)
+        if fewest is None:
             out.append(mask)
-            return
-        matched[pick] = True
-        for bit, o in pick_opts:
-            matched[o] = True
-            rec(mask | bit)
-            matched[o] = False
-        matched[pick] = False
-
-    rec(0)
-    return _vectors(out, d)
+        elif fewest is not by_free[0]:  # else an unmatched vertex has no partner left
+            pick = min(fewest)
+            opts = [(bit, o) for bit, o in incident[pick] if not matched[o]]
+            stack.append([mask, pick, opts, 0])
+            flip(pick, -1)
+        while stack:  # free the last option tried, then match the next or backtrack
+            frame = stack[-1]
+            base, pick, opts, tried = frame
+            if tried:
+                flip(opts[tried - 1][1], 1)
+            if tried < len(opts):
+                bit, o = opts[tried]
+                frame[3] += 1
+                flip(o, -1)
+                mask = base | bit
+                break
+            flip(pick, 1)
+            stack.pop()
+        else:
+            return _vectors(out, d)
 
 
 def _matchings(ends: Sequence[tuple[int, int]], limit: int, message: str) -> list[int]:

@@ -86,6 +86,14 @@ def petersen() -> Graph:
     return Graph(10, tuple(edges))
 
 
+def prism(m: int) -> Graph:
+    """The cubic prism C_m x K_2: two m-cycles joined by a perfect matching."""
+    edges = []
+    for i in range(m):
+        edges += [(i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i)]
+    return Graph(2 * m, tuple(edges))
+
+
 # --- exact baselines
 
 
@@ -862,6 +870,13 @@ def _listed_or_budget_message(search, graph, budget):
 @example(petersen(), 10**6)
 @example(petersen(), 5)
 @example(Graph(0, ()), 1)
+@example(prism(3), 10**6)
+@example(prism(4), 10**6)
+@example(prism(5), 10**6)
+@example(prism(6), 10**6)
+@example(Graph(6, tuple(combinations(range(6), 2))), 10**6)
+@example(Graph(6, tuple((i, 3 + j) for i in range(3) for j in range(3))), 10**6)
+@example(Graph(8, K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges)), 10**6)
 def test_perfect_matchings_follow_the_tuple_search_in_order(graph, budget):
     # Element for element and in search order, or the same budget message.
     assert _listed_or_budget_message(perfect_matchings, graph, budget) == (
@@ -869,14 +884,31 @@ def test_perfect_matchings_follow_the_tuple_search_in_order(graph, budget):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_simple_graphs() | hexagon_graphs())
+def test_perfect_matchings_search_as_many_nodes_as_the_tuple_search(graph):
+    def fails(budget):
+        return isinstance(_listed_or_budget_message(perfect_matchings_by_tuples, graph, budget), str)
+
+    # The reference fails at every budget below b and succeeds from b on:
+    # double past b, then bisect.
+    lo, hi = -1, 1
+    while fails(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fails(mid) else (lo, mid)
+    assert perfect_matchings(graph, hi) == perfect_matchings_by_tuples(graph, hi)
+    if hi > 0:
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            perfect_matchings(graph, hi - 1)
+        assert str(info.value) == f"perfect matching enumeration exceeded budget {hi - 1}"
+
+
 def test_perfect_matchings_hold_edge_masks_not_tuples():
     # The cubic prism C_100 x K_2 (300 edges): 3000 search nodes find 690
     # perfect matchings, which as 300-entry tuples peaked at about 1.8 MB.
-    m = 100
-    edges = []
-    for i in range(m):
-        edges += [(i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i)]
-    graph = Graph(2 * m, tuple(edges))
+    graph = prism(100)
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationBudgetExceeded):
@@ -1040,7 +1072,12 @@ def _parse_with(**change):
         (
             lambda: social_cost(((0, 1),), ((1,), (0,))),
             ValueError,
-            "value tables do not match matrix rows",
+            "1 value tables for ground size 2",
+        ),
+        (
+            lambda: social_cost(((0, 1),), ((1, 1),)),
+            ValueError,
+            "value table for element 1 must have 3 entries",
         ),
         (lambda: hexagon_gadget([], 3), ValueError, "at least one subset required"),
         (
@@ -1087,6 +1124,7 @@ def _parse_with(**change):
         "congestion-vector-length",
         "game-table-lengths",
         "social-cost-rows",
+        "social-cost-short-table",
         "hexagon-no-subset",
         "random-instance-sizes",
         "serialize-unknown-system",
