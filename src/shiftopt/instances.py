@@ -35,7 +35,6 @@ from .core import (
 )
 from .dup import OrthogonalSelection
 from .oracles import (
-    _BIT_VALUES,
     _DIGITS,
     BipartiteGraph,
     BipartiteMatchings,
@@ -743,15 +742,20 @@ def _parse_system(obj, path: str) -> SystemSpec:
     try:
         if kind == "explicit":
             raw = _want(obj, path, "vectors", (list,))
-            vectors = []
-            for i, s in enumerate(raw):
-                if not isinstance(s, str) or s.strip("01"):
-                    raise InstanceFormatError(
-                        f"{path}.vectors[{i}]: expected a string of 0/1 characters"
-                    )
-                vectors.append(s.encode().translate(_BIT_VALUES))
+            try:
+                if not all(isinstance(s, str) for s in raw):
+                    raise TypeError
+                system = ExplicitSystem(tuple(raw))
+            except (TypeError, ValueError):
+                # A bad string outranks the constructor's errors, and so does the flag's type.
+                for i, s in enumerate(raw):
+                    if not isinstance(s, str) or s.strip("01"):
+                        raise InstanceFormatError(
+                            f"{path}.vectors[{i}]: expected a string of 0/1 characters"
+                        ) from None
+                _want(obj, path, "downward_closed", (bool,), required=False)
+                raise
             flagged = _want(obj, path, "downward_closed", (bool,), required=False)
-            system = ExplicitSystem(tuple(vectors))
             if flagged and not system.downward_closed:
                 raise InstanceFormatError(f"{path}: system flagged downward_closed is not closed")
             return system

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 
 from .core import Matrix, Vector, check_cost_shape
 
@@ -56,9 +56,12 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bytes(v: tuple | bytes) -> bytes:
+def _bytes(v: tuple | str) -> bytes:
     """The entries of v as bytes, or b"\\x02" if one lies outside 0..255.
-    Entries that are not ints (1.0, "1") go through int() first."""
+    Entries that are not ints (1.0, "1") go through int() first; a str is
+    read as its characters, b"\\x02" unless each is 0 or 1."""
+    if isinstance(v, str):
+        return b"\x02" if v.strip("01") else v.encode().translate(_BIT_VALUES)
     try:
         return bytes(v)
     except TypeError:
@@ -68,14 +71,32 @@ def _bytes(v: tuple | bytes) -> bytes:
     return _bytes(v)
 
 
-def _bitmasks(vectors: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], list[int]]:
+def _mask(raw: bytes) -> int:
+    """The bitmask of a vector given as bytes of 0/1 values."""
+    return int(raw.translate(_DIGITS) or b"0", 2)
+
+
+def _bitmasks(vectors: Iterable[Sequence[int] | str]) -> tuple[tuple[Vector, ...], list[int]]:
     """Canonical int tuples of the vectors and one bitmask per vector, the
     vector read in binary (element i at bit d-1-i, so mask order is vector
     order); raises ValueError on unequal lengths or entries other than 0/1.
-    A bytes vector is read as its byte values."""
+    A str vector is a string of 0/1 characters.  When every vector is a
+    str, one batched test and int(v, 2) per vector do the work; otherwise,
+    or when that test fails, a per-vector loop reports the first fault."""
+    vectors = tuple(vectors)
+    try:
+        text = "".join(vectors)
+    except TypeError:  # some vector is not a str
+        text = ""
+    # isascii first, so that encode() never sees a lone surrogate.
+    if text and text.isascii() and not text.encode().translate(None, b"01"):
+        d = len(vectors[0])
+        if set(map(len, vectors)) == {d}:
+            raw = text.encode().translate(_BIT_VALUES)
+            return tuple(zip(*[iter(raw)] * d)), list(map(int, vectors, repeat(2)))
     raws: list[bytes] = []
     for v in vectors:
-        if type(v) is not bytes:
+        if not isinstance(v, str):
             v = tuple(v)
         if raws and len(v) != len(raws[0]):
             raise ValueError("explicit system vectors of unequal length")
@@ -83,8 +104,7 @@ def _bitmasks(vectors: Iterable[Sequence[int]]) -> tuple[tuple[Vector, ...], lis
         if raw.strip(b"\x00\x01"):
             raise ValueError("explicit system vectors must be 0/1")
         raws.append(raw)
-    masks = [int(raw.translate(_DIGITS) or b"0", 2) for raw in raws]
-    return tuple(map(tuple, raws)), masks
+    return tuple(map(tuple, raws)), list(map(_mask, raws))
 
 
 def _closed(members: set[int] | frozenset[int]) -> bool:
@@ -147,24 +167,26 @@ class ExplicitSystem(IndependenceOracle):
     The constructor works out downward_closed from the members; it is never
     an argument.  Ties in maximize break by list order, so the stored order
     is significant and preserved by serialization.  A vector may be given
-    as a sequence of 0/1 entries or as bytes of 0/1 values; it is stored as
-    a tuple of ints.
+    as a sequence of 0/1 entries or as a string of 0/1 characters, as in
+    the file format; it is stored as a tuple of ints.
 
     The constructor builds a prefix tree of the member supports: a node is
     a member's bitmask or a prefix of one, and its parent is the same mask
     with the lowest set bit, its last element, cleared.  Nodes are numbered
     in increasing mask order (the root, mask 0, is node 0), so a parent
-    precedes its children; on a downward-closed system the nodes are
-    exactly the members.
+    precedes its children.  On a downward-closed system the nodes are
+    exactly the members, so their sorted masks are the tree; otherwise
+    each member's prefixes are walked.
     maximize(w) costs one addition per node, vals[k] = vals[parent] +
     w[element], then picks the first member (in list order) of largest
-    value.
+    value.  contains(v) looks v's bitmask up among the members'.
     """
 
     vectors: tuple[Vector, ...]
     # Worked out from the members, and part of repr and equality.
     downward_closed: bool = field(init=False, default=False)
-    _member_set: frozenset[Vector] = _derived(frozenset())
+    # The member bitmasks.
+    _masks: frozenset[int] = _derived(frozenset())
     # (parent node, element) for nodes 1, 2, ...; node 0 is the root.
     _tree: tuple[tuple[int, int], ...] = _derived(())
     # The tree node of each member, in list order.
@@ -177,22 +199,26 @@ class ExplicitSystem(IndependenceOracle):
         mask_set = frozenset(masks)
         if len(mask_set) != len(masks):
             raise ValueError("explicit system vectors must be distinct")
+        closed = _closed(mask_set)
         object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "_member_set", frozenset(vecs))
-        object.__setattr__(self, "downward_closed", _closed(mask_set))
+        object.__setattr__(self, "_masks", mask_set)
+        object.__setattr__(self, "downward_closed", closed)
         d = len(vecs[0])
-        nodes = {0}
-        for m in masks:
-            while m not in nodes:
-                nodes.add(m)
-                m &= m - 1
+        if closed:
+            nodes = mask_set
+        else:
+            nodes = {0}
+            for m in masks:
+                while m not in nodes:
+                    nodes.add(m)
+                    m &= m - 1
         order = sorted(nodes)
         index = {m: k for k, m in enumerate(order)}
         tree = tuple(
             (index[m & (m - 1)], d - (m & -m).bit_length()) for m in order[1:]
         )
         object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "_member_nodes", tuple(index[m] for m in masks))
+        object.__setattr__(self, "_member_nodes", tuple(map(index.__getitem__, masks)))
 
     @classmethod
     def closed(cls, vectors: Iterable[Sequence[int]]) -> "ExplicitSystem":
@@ -203,7 +229,7 @@ class ExplicitSystem(IndependenceOracle):
         return len(self.vectors[0])
 
     def contains(self, v: Sequence[int]) -> bool:
-        return tuple(v) in self._member_set
+        return self._is_vector(v) and _mask(_bytes(v)) in self._masks
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)

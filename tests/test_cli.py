@@ -366,6 +366,29 @@ def _explicit_file(tmp_path, c, system):
     return str(path)
 
 
+@pytest.mark.parametrize("text", ["1_0", " 01", "+1", "\uff101", "\ud800"])
+def test_solve_rejects_vector_strings_with_other_characters(tmp_path, capsys, text):
+    path = _explicit_file(tmp_path, [[1, 0]] * len(text), {"vectors": ["0" * len(text), text]})
+    assert main(["solve", path, "--variant", "log"]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: system.vectors[1]: expected a string of 0/1 characters\n"
+    )
+
+
+def test_solve_reads_a_5000_element_explicit_file(tmp_path, capsys):
+    # Each vector string is longer than the 4300-digit limit of int() from
+    # text, from which base 2 is exempt.
+    d = 5000
+    vectors = ["0" * d, "1" + "0" * (d - 1), "0" * (d - 1) + "1", "1" + "0" * (d - 2) + "1"]
+    c = [[3, 1]] + [[-1, -1]] * (d - 2) + [[2, 2]]
+    path = _explicit_file(tmp_path, c, {"vectors": vectors, "downward_closed": True})
+    assert main(["solve", path, "--variant", "log"]) == 0
+    out = capsys.readouterr().out
+    inst = parse(Path(path).read_bytes())
+    assert inst.system.vectors[3] == (1,) + (0,) * (d - 2) + (1,)
+    assert f"value: {log_approx(inst.system, inst.c, 2).value}\n" in out
+
+
 @pytest.mark.parametrize(
     "argv, code, stream, text",
     [

@@ -627,6 +627,35 @@ def test_parse_reports_positions():
     assert "c[0]" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        # A bad string outranks every constructor fault, wherever it lies.
+        ({"vectors": ["00", "0", "0x"]}, "system.vectors[2]: expected a string of 0/1 characters"),
+        ({"vectors": ["01", "01", "+1"]}, "system.vectors[2]: expected a string of 0/1 characters"),
+        ({"vectors": ["01", ["0", "1"]]}, "system.vectors[1]: expected a string of 0/1 characters"),
+        ({"vectors": [5]}, "system.vectors[0]: expected a string of 0/1 characters"),
+        ({"vectors": ["0\ud800"], "downward_closed": "yes"},
+         "system.vectors[0]: expected a string of 0/1 characters"),
+        # Then the flag's type, then the constructor's faults.
+        ({"vectors": ["00", "0"], "downward_closed": "yes"},
+         "system.downward_closed: expected bool, got str"),
+        ({"vectors": ["00", "0"]}, "system: explicit system vectors of unequal length"),
+        ({"vectors": ["01", "01"]}, "system: explicit system vectors must be distinct"),
+        ({"vectors": []}, "system: explicit system must list at least one vector"),
+        ({"vectors": ["11"], "downward_closed": True},
+         "system: system flagged downward_closed is not closed"),
+    ],
+)
+def test_parse_reports_explicit_faults_in_order(system, message):
+    doc = json.dumps(
+        {"version": 1, "n": 1, "c": [[0], [0]], "system": {"kind": "explicit", **system}}
+    )
+    with pytest.raises(InstanceFormatError) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("entry", ["true", "false", "1.0", "2.5", "null", '"3"', "[1]"])
 def test_parse_rejects_cost_entries_that_are_not_integers(entry):
     doc = (

@@ -173,27 +173,72 @@ def test_explicit_constructor_accepts_and_rejects_as_reference(vectors):
         assert str(exc.value) == err
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    st.lists(st.lists(st.sampled_from((0, 1, 0, 1, 2)), min_size=2, max_size=3), max_size=6),
-    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-)
-def test_explicit_system_from_bytes_equals_from_tuples(vectors, w):
-    from_tuples = tuple(map(tuple, vectors))
-    from_bytes = tuple(map(bytes, vectors))
-    err = explicit_constructor_error(from_tuples)
+# Characters other than 0 and 1, several of which int(s, 2) or int(c) would read.
+BAD_CHARS = ("2", "_", " ", "+", "\uff10", "\ud800")
+
+
+@st.composite
+def explicit_forms(draw):
+    """One explicit vector list, closed or not, possibly faulty, in three
+    forms: tuples, bytes and 0/1 strings.  A bad entry is 2 in the first
+    two forms and a character from BAD_CHARS in the string."""
+    d = draw(st.integers(0, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 1)] * d), max_size=2**d))
+    if vectors and draw(st.booleans()):
+        vectors = down_close(vectors)
+    vectors = [list(v) for v in vectors]
+    # b: a bad entry, s: one entry short, l: one too long, d: a duplicate.
+    faults = st.lists(st.tuples(st.sampled_from("bsld"), st.integers(0, 99)), max_size=2)
+    for fault, k in draw(faults):
+        if not vectors:
+            break
+        v = vectors[k % len(vectors)]
+        if fault == "b" and v:
+            v[k % len(v)] = 2
+        elif fault == "s" and v:
+            v.pop()
+        elif fault == "l":
+            v.append(0)
+        elif fault == "d":
+            vectors.insert(k % (len(vectors) + 1), list(v))
+    tuples = tuple(map(tuple, vectors))
+    strings = tuple(
+        "".join(str(b) if b < 2 else draw(st.sampled_from(BAD_CHARS)) for b in v) for v in vectors
+    )
+    return tuples, tuple(map(bytes, tuples)), strings
+
+
+@settings(max_examples=800, deadline=None)
+@given(explicit_forms(), st.data())
+@example((((0, 0), (0,)), (b"\0\0", b"\0"), ("00", "0")), None)  # length fault first
+@example((((0, 2), (0,)), (b"\0\2", b"\0"), ("0_", "0")), None)  # character fault first
+@example((((0,), (0, 2)), (b"\0", b"\0\2"), ("0", "0\ud800")), None)
+def test_explicit_system_from_strings_tuples_and_bytes_agree(forms, data):
+    tuples = forms[0]
+    err = explicit_constructor_error(tuples)
     if err is not None:
-        for given_vectors in (from_tuples, from_bytes):
+        for vectors in forms:
             with pytest.raises(ValueError) as exc:
-                ExplicitSystem(given_vectors)
+                ExplicitSystem(vectors)
             assert str(exc.value) == err
         return
-    a, b = ExplicitSystem(from_tuples), ExplicitSystem(from_bytes)
-    assert a == b and b.vectors == from_tuples
-    assert all(type(v) is tuple for v in b.vectors)
-    d = a.ground_size()
-    assert a.maximize(w[:d]) == b.maximize(w[:d])
-    assert all(b.contains(v) for v in from_tuples)
+    built = [ExplicitSystem(vectors) for vectors in forms]
+    assert built[0] == built[1] == built[2]
+    d = len(tuples[0])
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    members = set(tuples)
+    for sys_ in built:
+        assert sys_.vectors == tuples and all(type(v) is tuple for v in sys_.vectors)
+        assert sys_.downward_closed == is_downward_closed_by_tuples(tuples)
+        assert sys_.maximize(w) == explicit_maximize_by_scan(sys_, w)
+        for v in product((0, 1), repeat=d):
+            member = v in members
+            assert sys_.contains(v) == sys_.contains(list(v)) == member
+            assert sys_.contains(tuple(map(bool, v))) == member
+            assert sys_.contains(tuple(map(float, v))) == member
+            assert not sys_.contains(v + (0,))
+            if v:
+                assert not sys_.contains(v[1:]) and not sys_.contains(v[:-1] + (2,))
 
 
 def test_explicit_constructor_contract():
@@ -221,6 +266,15 @@ def test_explicit_constructor_contract():
     assert b'"10"' in serialize(Instance(sys_, 1, ((0,), (0,))))
     # Entries that int() maps to 0/1 are still accepted.
     assert ExplicitSystem(((1.0, "0"),)).vectors == ((1, 0),)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 01", "+1", "\uff101", "\ud800"])
+def test_explicit_strings_hold_only_0_and_1_characters(text):
+    # int(text, 2) or int() per character would read some of these; a lone
+    # surrogate must not reach encode().
+    for vectors in ((text,), ("0" * len(text), text)):
+        with pytest.raises(ValueError, match="^explicit system vectors must be 0/1$"):
+            ExplicitSystem(vectors)
 
 
 @settings(max_examples=300, deadline=None)
