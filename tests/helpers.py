@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from importlib.util import find_spec
 from itertools import combinations_with_replacement, product
 
+import pytest
 from hypothesis import strategies as st
 
 from shiftopt import (
@@ -18,6 +20,13 @@ from shiftopt import (
     PartitionMatroid,
     UniformMatroid,
     down_close,
+)
+
+# Only the bipartite matching oracle imports numpy and scipy, on its first
+# maximize with a positive weight; tests that reach that call carry this mark.
+needs_scipy = pytest.mark.skipif(
+    find_spec("numpy") is None or find_spec("scipy") is None,
+    reason="the bipartite matching oracle needs numpy and scipy",
 )
 
 

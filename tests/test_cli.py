@@ -9,13 +9,14 @@ import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import systems
+from helpers import needs_scipy, systems
 import shiftopt
 from shiftopt import (
     Instance,
@@ -376,17 +377,25 @@ def test_solve_rejects_vector_strings_with_other_characters(tmp_path, capsys, te
 
 
 def test_solve_reads_a_5000_element_explicit_file(tmp_path, capsys):
-    # Each vector string is longer than the 4300-digit limit of int() from
-    # text, from which base 2 is exempt.
+    # Each d = 5000 vector string is longer than the 4300-digit limit of
+    # int() from text, from which base 2 is exempt.  The flagged closed
+    # d = 30 list holds 3000 members: every set of size at most 2, then the
+    # first 3-sets.
     d = 5000
-    vectors = ["0" * d, "1" + "0" * (d - 1), "0" * (d - 1) + "1", "1" + "0" * (d - 2) + "1"]
-    c = [[3, 1]] + [[-1, -1]] * (d - 2) + [[2, 2]]
-    path = _explicit_file(tmp_path, c, {"vectors": vectors, "downward_closed": True})
-    assert main(["solve", path, "--variant", "log"]) == 0
-    out = capsys.readouterr().out
-    inst = parse(Path(path).read_bytes())
-    assert inst.system.vectors[3] == (1,) + (0,) * (d - 2) + (1,)
-    assert f"value: {log_approx(inst.system, inst.c, 2).value}\n" in out
+    wide = (2, [[3, 1]] + [[-1, -1]] * (d - 2) + [[2, 2]],
+            ["0" * d, "1" + "0" * (d - 1), "0" * (d - 1) + "1", "1" + "0" * (d - 2) + "1"])
+    sets = [s for k in range(3) for s in combinations(range(30), k)]
+    sets += islice(combinations(range(30), 3), 3000 - len(sets))
+    closed = (16, [[(7 * i + 3 * j) % 11 - 5 for j in range(16)] for i in range(30)],
+              ["".join("1" if i in s else "0" for i in range(30)) for s in sets])
+    for n, c, vectors in (wide, closed):
+        path = write_document(tmp_path, {"version": 1, "n": n, "c": c, "system": {
+            "kind": "explicit", "downward_closed": True, "vectors": vectors}})
+        assert main(["solve", path, "--variant", "log"]) == 0
+        out = capsys.readouterr().out
+        inst = parse(Path(path).read_bytes())
+        assert inst.system.vectors == tuple(tuple(map(int, v)) for v in vectors)
+        assert f"value: {log_approx(inst.system, inst.c, n).value}\n" in out
 
 
 @pytest.mark.parametrize(
@@ -556,6 +565,7 @@ PARALLEL_EDGES = {
 }
 
 
+@needs_scipy
 def test_solve_exact_on_bipartite_parallel_edges(tmp_path, capsys):
     path = tmp_path / "parallel.json"
     path.write_text(json.dumps(PARALLEL_EDGES))
@@ -764,23 +774,26 @@ def test_solve_exact_member_cap_is_exact_at_its_boundary(tmp_path, capsys):
 
 def test_solve_exact_on_the_3_set_hexagon_gadget_stops_at_the_member_cap(tmp_path, capsys):
     # The 36-edge gadget has 3,595,796 matchings; at n = 2 no list above 446
-    # members fits a budget of 10^5, so the listing stops at the 447th.
+    # members fits a budget of 10^5, so the listing stops at the 447th, and
+    # at the default budget of 10^7 it stops at the 4472nd.
     out = tmp_path / "hexagon.json"
     argv = ["gadget", "hexagon", "--k", "6", "--sets", "1,2,3;4,5,6;1,4,5", "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = main(["solve", str(out), "--variant", "exact", "--budget", "100000"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "validation error: shifted brute force: more than 446 members, "
-        "so at least 100128 candidates, exceed budget 100000\n"
-    )
-    assert peak < 5_000_000
+    for budget, message in (
+        (["--budget", "100000"], "more than 446 members, so at least 100128 candidates, "
+                                 "exceed budget 100000"),
+        ([], "more than 4471 members, so at least 10001628 candidates, exceed budget 10000000"),
+    ):
+        tracemalloc.start()
+        try:
+            code = main(["solve", str(out), "--variant", "exact", *budget])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == f"validation error: shifted brute force: {message}\n"
+        assert peak < 5_000_000
 
 
 def test_gadget_coloring_of_a_2200_vertex_prism_is_a_validation_error(tmp_path, capsys):
@@ -961,6 +974,7 @@ assert loaded() == ["numpy", "scipy"], loaded()
 """
 
 
+@needs_scipy
 def test_numpy_and_scipy_load_only_for_a_positive_bipartite_maximize(tmp_path):
     src = Path(shiftopt.__file__).resolve().parents[1]
     done = subprocess.run(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import greedy_dup_by_stacking, rand_closed_system, systems
+from helpers import greedy_dup_by_stacking, needs_scipy, rand_closed_system, systems
 from shiftopt import (
     ExplicitSystem,
     UniformMatroid,
@@ -136,6 +136,7 @@ def dup_instances(draw):
     return sys_, draw(st.integers(1, 5)), w
 
 
+@needs_scipy
 @settings(max_examples=400, deadline=None)
 @given(dup_instances())
 @example((ExplicitSystem(((),)), 1, []))

@@ -17,6 +17,7 @@ from helpers import (
     is_downward_closed_by_tuples,
     lift_value_by_scan,
     lift_value_full_enum,
+    needs_scipy,
     partition_maximize_by_key_sort,
     rand_closed_system,
     rand_cost,
@@ -358,6 +359,7 @@ def test_graphic_kruskal_on_triangle():
     assert max(dot((5, 4, 3), v) for v in forests) == 9
 
 
+@needs_scipy
 def test_oracles_match_enumeration_on_random_weights():
     rng = random.Random(3)
     oracles = [
@@ -476,6 +478,7 @@ def test_explicit_closed_matches_enumeration():
 # --- bipartite matching oracle
 
 
+@needs_scipy
 def test_matching_conflicting_path_edges():
     g = BipartiteGraph(2, 1, ((0, 0), (1, 0)))  # two edges sharing vertex b
     oracle = BipartiteMatchings(g)
@@ -483,6 +486,7 @@ def test_matching_conflicting_path_edges():
     assert s == (0, 1)
 
 
+@needs_scipy
 def test_matching_k22_antidiagonal():
     g = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
     oracle = BipartiteMatchings(g)
@@ -500,6 +504,7 @@ def test_matching_nonpositive_weights_empty():
     assert oracle.maximize((0, -3)) == (0, 0)
 
 
+@needs_scipy
 def test_matching_parallel_edges():
     g = BipartiteGraph(1, 1, ((0, 0), (0, 0)))
     oracle = BipartiteMatchings(g)
@@ -508,6 +513,7 @@ def test_matching_parallel_edges():
     assert not oracle.contains((1, 1))
 
 
+@needs_scipy
 def test_bipartite_per_call_memory_ignores_untouched_vertices():
     # One edge among 2000 + 2000 declared vertices: the weight matrix must be
     # sized by the two vertices the edge touches, not by the declared counts.
@@ -535,6 +541,7 @@ def _weighted_bipartite(draw):
     return BipartiteMatchings(BipartiteGraph(left, right, edges)), w
 
 
+@needs_scipy
 @settings(max_examples=500, deadline=None)
 @given(_weighted_bipartite())
 def test_matching_is_exact_up_to_the_weight_limit(case):
@@ -545,6 +552,7 @@ def test_matching_is_exact_up_to_the_weight_limit(case):
     assert dot(w, s) == max(dot(w, v) for v in members)
 
 
+@needs_scipy
 def test_matching_rejects_weights_above_the_exact_limit():
     g = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1)))
     oracle = BipartiteMatchings(g)

@@ -15,6 +15,7 @@ from helpers import (
     disjoint_union_of_lift,
     equivalents_of_power,
     level_candidate_by_cleaning,
+    needs_scipy,
     rand_closed_system,
     rand_binary,
     rand_convex_tables,
@@ -174,6 +175,7 @@ def not_closed(sys_) -> bool:
     return isinstance(sys_, ExplicitSystem) and not is_downward_closed(sys_.vectors)
 
 
+@needs_scipy
 @settings(max_examples=600, deadline=None)
 @given(shifted_instances())
 @example((ExplicitSystem(((),)), (), 1))
@@ -198,6 +200,7 @@ def test_constant_shifted_matches_lift_reference(instance):
 _ZERO_PICK = ExplicitSystem(((1, 1), (1, 0), (0, 1), (0, 0)))
 
 
+@needs_scipy
 @settings(max_examples=800, deadline=None)
 @given(shifted_instances())
 @example((_ZERO_PICK, ((2, 1), (0, 0)), 2))
@@ -218,6 +221,7 @@ def dup_weights(draw):
     return sys_, draw(st.lists(st.integers(0, 8), min_size=d, max_size=d)), draw(st.integers(1, 5))
 
 
+@needs_scipy
 @settings(max_examples=400, deadline=None)
 @given(dup_weights())
 @example((ExplicitSystem(((),)), [], 3))
@@ -233,6 +237,7 @@ def test_constant_shifted_on_dup_rows_equals_greedy_dup(case):
     assert res.solution == tuple(zip(*sel.columns))
 
 
+@needs_scipy
 @settings(max_examples=300, deadline=None)
 @given(shifted_instances())
 def test_constant_shifted_calls_the_oracle_at_most_n_times(instance):
@@ -306,6 +311,7 @@ def levels(draw):
     return sys_, draw(costs(sys_.ground_size(), n, -4, 4)), n, k, copies
 
 
+@needs_scipy
 @settings(max_examples=800, deadline=None)
 @given(levels())
 @example((ExplicitSystem(((),)), (), 3, 1, 2))
