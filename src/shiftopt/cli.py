@@ -54,9 +54,8 @@ from .sco import APPROX_VARIANTS, NotDownwardClosedError, convex_identical
 VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
 # The largest n that solve, bench and the gadgets accept (the smallest is 1):
-# the exact search recurses once per column, far below the default limit of
-# 1000, and every printed bound (about n log10 n digits) stays under the
-# 4300-digit int-to-str limit.
+# every printed bound (about n log10 n digits) stays under the 4300-digit
+# int-to-str limit.
 MAX_N = 512
 
 

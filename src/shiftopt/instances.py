@@ -19,7 +19,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain, count, islice, product
+from itertools import chain, combinations_with_replacement, count, islice, product
 from math import comb
 
 from .core import (
@@ -146,37 +146,26 @@ def _best_multiset(
         return 0, ()
     supports = [tuple(i for i, b in enumerate(v) if b) for v in members]
     count = len(members)
-    cong = [0] * len(rows)
-    pick: list[int] = []
+    first = [row[0] for row in rows]
     best_val: int | None = None
     best_pick: tuple[int, ...] = ()
-
-    def rec(start: int, value: int) -> bool:
-        # True once the ceiling is reached; the search then unwinds at once.
-        nonlocal best_val, best_pick
-        if len(pick) == n - 1:
-            # The last pick of a branch is scored in place, without recursing.
-            for idx in range(start, count):
-                total = value + sum(rows[i][cong[i]] for i in supports[idx])
-                if best_val is None or total > best_val:
-                    best_val, best_pick = total, (*pick, idx)
-                    if total == ceiling:
-                        return True
-            return False
-        for idx in range(start, count):
-            sup = supports[idx]
-            delta = sum(rows[i][cong[i]] for i in sup)
-            for i in sup:
-                cong[i] += 1
-            pick.append(idx)
-            if rec(idx, value + delta):
-                return True
-            pick.pop()
-            for i in sup:
-                cong[i] -= 1
-        return False
-
-    rec(0, 0)
+    # The (n - 1)-prefixes come in lexicographic order and each one's last
+    # pick starts at its own last index, so multisets come in the order above.
+    for prefix in combinations_with_replacement(range(count), n - 1):
+        gain = first.copy()
+        uses = [0] * len(rows)
+        value = 0
+        for idx in prefix:
+            for i in supports[idx]:
+                value += gain[i]
+                uses[i] += 1
+                gain[i] = rows[i][uses[i]]
+        for idx in range(prefix[-1] if prefix else 0, count):
+            total = value + sum(map(gain.__getitem__, supports[idx]))
+            if best_val is None or total > best_val:
+                best_val, best_pick = total, (*prefix, idx)
+                if total == ceiling:
+                    return best_val, best_pick
     return best_val, best_pick
 
 

@@ -306,6 +306,50 @@ def sco_first_optimum_by_multisets(system: ExplicitSystem, c, n: int):
     return best
 
 
+def best_multiset_by_recursion(members, rows, n: int, ceiling=None):
+    """Reference `instances._best_multiset` without its budget check: a
+    depth-first recursion over nondecreasing member indices that keeps each
+    element's use count, scores the last pick of a branch in place, keeps
+    the first strictly best (value, pick) and stops at the first value
+    equal to `ceiling`.  This was the shared multiset search before it
+    became one loop over prefixes."""
+    if n == 0:
+        return 0, ()
+    supports = [tuple(i for i, b in enumerate(v) if b) for v in members]
+    count = len(members)
+    cong = [0] * len(rows)
+    pick: list[int] = []
+    best_val = None
+    best_pick: tuple[int, ...] = ()
+
+    def rec(start: int, value: int) -> bool:
+        # True once the ceiling is reached; the search then unwinds at once.
+        nonlocal best_val, best_pick
+        if len(pick) == n - 1:
+            for idx in range(start, count):
+                total = value + sum(rows[i][cong[i]] for i in supports[idx])
+                if best_val is None or total > best_val:
+                    best_val, best_pick = total, (*pick, idx)
+                    if total == ceiling:
+                        return True
+            return False
+        for idx in range(start, count):
+            sup = supports[idx]
+            delta = sum(rows[i][cong[i]] for i in sup)
+            for i in sup:
+                cong[i] += 1
+            pick.append(idx)
+            if rec(idx, value + delta):
+                return True
+            pick.pop()
+            for i in sup:
+                cong[i] -= 1
+        return False
+
+    rec(0, 0)
+    return best_val, best_pick
+
+
 def dup_first_optimum_by_disjoint_recursion(system: ExplicitSystem, k: int, w):
     """(value, columns) of the first optimal selection of k pairwise disjoint
     members, in the brute force's multiset order, by a recursion that only

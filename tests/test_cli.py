@@ -367,6 +367,24 @@ def _explicit_file(tmp_path, c, system):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "c, code",
+    [([[3, 1], [2, 2]], 0), ([[3, 1], [2, 2], [1, 1]], 1)],
+    ids=["solved", "parse-error"],
+)
+def test_python_m_shiftopt_exits_with_the_code_of_main(tmp_path, capsys, c, code):
+    argv = ["solve", _explicit_file(tmp_path, c, {"vectors": ["00", "10", "01"]}),
+            "--variant", "exact"]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    src = Path(shiftopt.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "shiftopt", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, expected.out, expected.err)
+
+
 @pytest.mark.parametrize("text", ["1_0", " 01", "+1", "\uff101", "\ud800"])
 def test_solve_rejects_vector_strings_with_other_characters(tmp_path, capsys, text):
     path = _explicit_file(tmp_path, [[1, 0]] * len(text), {"vectors": ["0" * len(text), text]})

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    best_multiset_by_recursion,
     congestion_feasible_by_tuples,
     costs,
     dup_first_optimum_by_disjoint_recursion,
@@ -26,6 +27,7 @@ from helpers import (
     systems,
 )
 from shiftopt import (
+    DEFAULT_BUDGET,
     BipartiteGraph,
     BipartiteMatchings,
     EnumerationBudgetExceeded,
@@ -69,6 +71,7 @@ from shiftopt import (
     shifted_value,
     social_cost,
 )
+from shiftopt.instances import _best_multiset
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
 PATH3 = Graph(3, ((0, 1), (1, 2)))
@@ -223,6 +226,50 @@ def test_brute_force_generalized_matches_tuple_enumeration(sys_, n, data):
 
 
 @st.composite
+def multiset_searches(draw):
+    """(members, rows, n) as the brute forces hand them to the shared
+    multiset search: a closed, non-closed or empty member list, and
+    arbitrary, shifted, disjoint-union-penalty or 0/+-1 congestion rows."""
+    members = draw(explicit_lists() | st.just([]))
+    d = len(members[0]) if members else draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["arbitrary", "shifted", "dup", "congestion"]))
+    # Every caller passes n >= 1, or members of a system, which are never none.
+    n = draw(st.integers(1 if kind == "congestion" or not members else 0, 4))
+    if kind == "dup":
+        w = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+        penalty = (-2 * sum(map(abs, w)) - 1,) * (n - 1)
+        rows = tuple((wi, *penalty) for wi in w)
+    elif kind == "congestion":
+        sets = draw(st.lists(st.frozensets(st.integers(0, n), min_size=1), min_size=d,
+                             max_size=d))
+        rows = congestion_to_cost(PrescribedCongestion(n, tuple(sets)))[0]
+    else:
+        rows = draw(costs(d, n, -9, 9, shifted=kind == "shifted"))
+    return members, rows, n
+
+
+@settings(max_examples=600, deadline=None)
+@given(multiset_searches(), st.sampled_from(["none", "optimum", "above"]))
+@example(([], ((1, 0),), 2), "none")
+@example(([()], (), 3), "optimum")
+@example(([(0, 0), (1, 0), (0, 1), (1, 1)], ((2,), (-1,)), 1), "above")
+@example(([(1, 0), (0, 1), (1, 1)], ((1, 1), (1, 1)), 2), "none")
+def test_best_multiset_returns_the_recursions_first_optimum(search, ceiling):
+    # Ties are common at these sizes, so the first optimum must be kept too.
+    members, rows, n = search
+    best, _ = best_multiset_by_recursion(members, rows, n)
+    ceiling = None if best is None or ceiling == "none" else best + (ceiling == "above")
+    assert _best_multiset(members, rows, n, DEFAULT_BUDGET, "search", ceiling) == (
+        best_multiset_by_recursion(members, rows, n, ceiling)
+    )
+
+
+def test_brute_force_sco_takes_more_columns_than_the_recursion_limit():
+    c = ((1,) + (0,) * 1499,)
+    assert brute_force_sco(UniformMatroid(1, 1), c, 1500) == (1, ((0,) * 1499 + (1,),))
+
+
+@st.composite
 def prescriptions(draw):
     """Vector lists (duplicates allowed, possibly empty) and prescriptions."""
     d = draw(st.integers(0, 4))
@@ -291,6 +338,7 @@ def test_game_to_cost_convex_gives_shifted_rows():
     assert c == ((-1, -3),)
     assert is_shifted(c)
     assert game_to_cost(((5, 5, 5),)) == ((0, 0),)
+    assert game_to_cost(()) == ()
 
 
 def test_game_identity_on_random_solutions():
@@ -1129,6 +1177,8 @@ def _parse_with(**change):
             ValueError,
             "n must be >= 1",
         ),
+        (lambda: PrescribedCongestion(0, ()), ValueError, "n must be >= 1"),
+        (lambda: independent_set_gadget(TRIANGLE, 0), ValueError, "n must be >= 1"),
     ],
     ids=[
         "cost-rows",
@@ -1159,6 +1209,8 @@ def _parse_with(**change):
         "serialize-unknown-system",
         "invalid-level",
         "convex-n",
+        "congestion-n",
+        "independent-set-n",
     ],
 )
 def test_documented_errors_carry_their_messages(run, error, message):

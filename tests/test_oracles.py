@@ -304,6 +304,21 @@ def test_matroids_and_matchings_are_downward_closed():
 
 
 @pytest.mark.parametrize(
+    "oracle",
+    [
+        PartitionMatroid(2, (((0, 1), 2),)),
+        GraphicMatroid(3, ((0, 1), (1, 2))),
+        BipartiteMatchings(BipartiteGraph(2, 2, ((0, 0), (1, 1)))),
+    ],
+    ids=["partition", "graphic", "bipartite"],
+)
+def test_contains_rejects_vectors_that_are_not_0_1_over_the_ground_set(oracle):
+    assert oracle.contains((1, 1))
+    for v in ((1,), (1, 1, 0), (1, 2), (0, -1)):
+        assert not oracle.contains(v)
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: UniformMatroid(-1, 0), "d and rank must be nonnegative"),
