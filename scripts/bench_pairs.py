@@ -20,8 +20,12 @@ relative worsening against the metric's bound from BENCHMARK.json, and
 whether the comparison is unresolved: a side's interquartile range over
 its median exceeds the bound and not every change run reads better than
 every parent run.
-Digests are compared per seed.  The file is rewritten after every pair,
-so an interrupted series keeps the pairs it finished.
+Digests are compared per seed.  After a workload's pairs, one traced run
+(`--trace 1`) per side on the first seed records each per-layer metric of
+BENCHMARK.json side by side under `layers`, to show in which layers a
+change of the end-to-end metrics arises.  The file is rewritten after
+every pair and after each workload's traced runs, so an interrupted
+series keeps what it finished.
 """
 
 from __future__ import annotations
@@ -62,11 +66,12 @@ def export_working_tree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run; its result line, digest and probe line."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run; its result line, digest and probe line.  The
+    metrics are the end-to-end ones, or the per-layer ones when traced."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -161,7 +166,7 @@ def main() -> int:
         "machine": {"os": f"{platform.system()} {platform.machine()}",
                     "python": platform.python_version()},
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0 (1 for layers)",
     }
     runs: list[dict] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -182,6 +187,19 @@ def main() -> int:
                           f"{run['metrics']['ops_per_s']:.1f}", file=sys.stderr, flush=True)
                 out.update(summary=summarize(runs, spec), runs=runs)
                 args.out.write_text(json.dumps(out, indent=1) + "\n")
+            traced = {
+                side: run_once(trees[side], workload, args.first_seed, seconds, trace=1)
+                for side in ("parent", "change")
+            }
+            out.setdefault("layers", {})[workload] = {
+                "seed": args.first_seed,
+                "correct": {side: run["correct"] for side, run in traced.items()},
+                "metrics": {
+                    name: {side: run["metrics"][name] for side, run in traced.items()}
+                    for name in traced["parent"]["metrics"]
+                },
+            }
+            args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
 

@@ -35,16 +35,17 @@ from .core import (
 )
 from .dup import OrthogonalSelection
 from .oracles import (
-    _DIGITS,
     BipartiteGraph,
     BipartiteMatchings,
     ExplicitSystem,
     GraphicMatroid,
     PartitionMatroid,
     UniformMatroid,
+    _by_size,
     _canonical,
     _closure,
     _numbering,
+    _strings,
     _vectors,
 )
 
@@ -141,7 +142,8 @@ def _best_multiset(
     wins.  The search stops at the first value equal to `ceiling`, which the
     caller guarantees no multiset exceeds.
     """
-    _check_budget(comb(len(members) + n - 1, n), budget, what)
+    # comb(-1, 0) would raise; no members have one 0-multiset and no other.
+    _check_budget(comb(max(len(members) + n - 1, 0), n), budget, what)
     if n == 0:
         return 0, ()
     supports = [tuple(i for i, b in enumerate(v) if b) for v in members]
@@ -598,7 +600,7 @@ def random_instance(
         members.remove(m)
         tops.remove(m)
         tops.update(filter(maximal, (m ^ b for b in bits if m & b)))
-    system = ExplicitSystem(_canonical(members, d))
+    system = ExplicitSystem(_strings(sorted(members, key=_by_size), d))
     rows = []
     for _ in range(d):
         row = [rng.randint(-cost_range, cost_range) for _ in range(n)]
@@ -657,7 +659,7 @@ def serialize(instance: Instance) -> bytes:
     if isinstance(system, ExplicitSystem):
         obj["system"] = {
             "kind": "explicit",
-            "vectors": [bytes(v).translate(_DIGITS).decode() for v in system.vectors],
+            "vectors": _strings(system._masks, system.ground_size()),
             "downward_closed": system.downward_closed,
         }
     elif isinstance(system, UniformMatroid):

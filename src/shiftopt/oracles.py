@@ -76,13 +76,14 @@ def _mask(raw: bytes) -> int:
     return int(raw.translate(_DIGITS) or b"0", 2)
 
 
-def _bitmasks(vectors: Iterable[Sequence[int] | str]) -> tuple[tuple[Vector, ...], list[int]]:
-    """Canonical int tuples of the vectors and one bitmask per vector, the
-    vector read in binary (element i at bit d-1-i, so mask order is vector
-    order); raises ValueError on unequal lengths or entries other than 0/1.
-    A str vector is a string of 0/1 characters.  When every vector is a
-    str, one batched test and int(v, 2) per vector do the work; otherwise,
-    or when that test fails, a per-vector loop reports the first fault."""
+def _bitmasks(vectors: Iterable[Sequence[int] | str]) -> tuple[int, list[int]]:
+    """The common length d of the vectors (0 for none) and one bitmask per
+    vector, the vector read in binary (element i at bit d-1-i, so mask
+    order is vector order); raises ValueError on unequal lengths or entries
+    other than 0/1.  A str vector is a string of 0/1 characters.  When
+    every vector is a str, one batched test and int(v, 2) per vector do the
+    work; otherwise, or when that test fails, a per-vector loop reports the
+    first fault."""
     vectors = tuple(vectors)
     try:
         text = "".join(vectors)
@@ -92,8 +93,7 @@ def _bitmasks(vectors: Iterable[Sequence[int] | str]) -> tuple[tuple[Vector, ...
     if text and text.isascii() and not text.encode().translate(None, b"01"):
         d = len(vectors[0])
         if set(map(len, vectors)) == {d}:
-            raw = text.encode().translate(_BIT_VALUES)
-            return tuple(zip(*[iter(raw)] * d)), list(map(int, vectors, repeat(2)))
+            return d, list(map(int, vectors, repeat(2)))
     raws: list[bytes] = []
     for v in vectors:
         if not isinstance(v, str):
@@ -104,30 +104,79 @@ def _bitmasks(vectors: Iterable[Sequence[int] | str]) -> tuple[tuple[Vector, ...
         if raw.strip(b"\x00\x01"):
             raise ValueError("explicit system vectors must be 0/1")
         raws.append(raw)
-    return tuple(map(tuple, raws)), list(map(_mask, raws))
+    return len(raws[0]) if raws else 0, list(map(_mask, raws))
 
 
-def _closed(members: set[int] | frozenset[int]) -> bool:
-    """True iff clearing any one set bit of a member mask yields a member."""
-    for m in members:
-        rest = m
-        while rest:
-            low = rest & -rest
-            if m ^ low not in members:
-                return False
-            rest ^= low
-    return True
+def _tree(index: dict[int, int], d: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+    """Whether a family of member masks is downward closed, and its prefix
+    tree, from one pass over the masks in increasing order.
+
+    index maps each member mask to its node number.  A node's parent is its
+    mask with the lowest set bit, its last element, cleared.  A parent that
+    is no member becomes a prefix-only node, numbered after the members;
+    so does the root, mask 0, when it is no member.  The tree is a
+    schedule of (node, parent node, element) for every node but the root,
+    parents first, since a parent's mask is the smaller.
+
+    The family is closed iff each member's parent is a member (so the root
+    is one, unless there are no members) and so is every other
+    one-element removal of it.  The parent lookup that links a member is
+    the first of these checks; the others stop at the first miss.
+    """
+    closed = 0 in index or not index
+    nodes = dict(index)
+    nodes.setdefault(0, len(nodes))
+    schedule = []
+    for m in sorted(filter(None, index)):
+        low = m & -m
+        parent = m ^ low
+        if parent not in nodes:
+            closed = False
+            missing = []
+            while parent not in nodes:
+                missing.append(parent)
+                parent &= parent - 1
+            for p in reversed(missing):
+                nodes[p] = len(nodes)
+                p_low = p & -p
+                schedule.append((nodes[p], nodes[p ^ p_low], d - p_low.bit_length()))
+        elif closed:
+            rest = parent
+            while rest:
+                bit = rest & -rest
+                if m ^ bit not in index:
+                    closed = False
+                    break
+                rest ^= bit
+        schedule.append((index[m], nodes[m ^ low], d - low.bit_length()))
+    return closed, tuple(schedule)
+
+
+def _strings(masks: Iterable[int], d: int) -> list[str]:
+    """The d-character 0/1 strings of the masks, in the given order."""
+    top = 1 << d  # a leading 1 keeps the leading zeros; for d = 0 each string is ""
+    return [bin(m | top)[3:] for m in masks]
 
 
 def _vectors(masks: Iterable[int], d: int) -> tuple[Vector, ...]:
     """The d-element 0/1 vectors of the masks, in the given order."""
-    top = 1 << d  # a leading 1 keeps the leading zeros; for d = 0 each vector is ()
-    return tuple(tuple(bin(m | top)[3:].encode().translate(_BIT_VALUES)) for m in masks)
+    return tuple(tuple(s.encode().translate(_BIT_VALUES)) for s in _strings(masks, d))
+
+
+def _vector(mask: int, d: int) -> Vector:
+    """The d-element 0/1 vector of one mask: _vectors for a single mask,
+    without its list and generator, for maximize's answer."""
+    return tuple(bin(mask | 1 << d)[3:].encode().translate(_BIT_VALUES))
+
+
+def _by_size(m: int) -> tuple[int, int]:
+    """The sort key of canonical member order: by size, then as vectors."""
+    return m.bit_count(), m
 
 
 def _canonical(masks: Iterable[int], d: int) -> tuple[Vector, ...]:
-    """The vectors of the masks in canonical member order: by size, then as vectors."""
-    return _vectors(sorted(masks, key=lambda m: (m.bit_count(), m)), d)
+    """The vectors of the masks in canonical member order."""
+    return _vectors(sorted(masks, key=_by_size), d)
 
 
 def _closure(masks: Iterable[int]) -> set[int]:
@@ -150,14 +199,28 @@ def _closure(masks: Iterable[int]) -> set[int]:
 def down_close(vectors: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
     """Downward closure of a set of equal-length 0/1 vectors, in canonical
     member order."""
-    vecs, masks = _bitmasks(vectors)
-    return _canonical(_closure(masks), len(vecs[0]) if vecs else 0)
+    d, masks = _bitmasks(vectors)
+    return _canonical(_closure(masks), d)
 
 
 def is_downward_closed(vectors: Iterable[Sequence[int]]) -> bool:
     """True iff removing any single 1 from a member yields a member; the
     vectors must be 0/1 and of equal length."""
-    return _closed(set(_bitmasks(vectors)[1]))
+    d, masks = _bitmasks(vectors)
+    return _tree(dict(zip(masks, range(len(masks)))), d)[0]
+
+
+class _Vectors:
+    """The vectors field of ExplicitSystem.  The dataclass __init__ stores
+    the vectors as given in the instance, and __post_init__ takes them back
+    out; the first read after that lands here, builds the int tuples from
+    the member masks and stores them, so later reads find them directly."""
+
+    def __get__(self, system, owner=None):
+        if system is None:
+            raise AttributeError("vectors")  # so that the field has no default
+        vecs = system.__dict__["vectors"] = _vectors(system._masks, system._d)
+        return vecs
 
 
 @dataclass(frozen=True)
@@ -168,57 +231,46 @@ class ExplicitSystem(IndependenceOracle):
     an argument.  Ties in maximize break by list order, so the stored order
     is significant and preserved by serialization.  A vector may be given
     as a sequence of 0/1 entries or as a string of 0/1 characters, as in
-    the file format; it is stored as a tuple of ints.
+    the file format.  The system stores the member bitmasks in list order;
+    `vectors`, a tuple of int tuples, is built from them on its first read
+    (repr, equality, hashing and the brute forces read it; parse and the
+    approximations do not).
 
-    The constructor builds a prefix tree of the member supports: a node is
-    a member's bitmask or a prefix of one, and its parent is the same mask
-    with the lowest set bit, its last element, cleared.  Nodes are numbered
-    in increasing mask order (the root, mask 0, is node 0), so a parent
-    precedes its children.  On a downward-closed system the nodes are
-    exactly the members, so their sorted masks are the tree; otherwise
-    each member's prefixes are walked.
-    maximize(w) costs one addition per node, vals[k] = vals[parent] +
-    w[element], then picks the first member (in list order) of largest
-    value.  contains(v) looks v's bitmask up among the members'.
+    The constructor builds a prefix tree of the member supports in the same
+    pass that decides closure (see _tree): a node is a member's bitmask or
+    a prefix of one, and its parent is the same mask with the lowest set
+    bit, its last element, cleared.  The members are nodes 0..count-1 in
+    list order; prefix-only nodes, which only a system that is not closed
+    has, come after them.  maximize(w) costs one addition per node,
+    vals[node] = vals[parent] + w[element] in parents-first order, then
+    picks the first member of largest value straight from vals[:count].
+    contains(v) looks v's bitmask up among the members'.
     """
 
-    vectors: tuple[Vector, ...]
+    vectors: tuple[Vector, ...] = _Vectors()
     # Worked out from the members, and part of repr and equality.
     downward_closed: bool = field(init=False, default=False)
-    # The member bitmasks.
-    _masks: frozenset[int] = _derived(frozenset())
-    # (parent node, element) for nodes 1, 2, ...; node 0 is the root.
-    _tree: tuple[tuple[int, int], ...] = _derived(())
-    # The tree node of each member, in list order.
-    _member_nodes: tuple[int, ...] = _derived(())
+    # The member bitmasks, in list order, and the ground set size.
+    _masks: tuple[int, ...] = _derived(())
+    _d: int = _derived(0)
+    # Each member bitmask's node, its position in the list.
+    _index: dict[int, int] = _derived(None)
+    # (node, parent node, element) for every node but the root, parents first.
+    _schedule: tuple[tuple[int, int, int], ...] = _derived(())
 
     def __post_init__(self) -> None:
-        vecs, masks = _bitmasks(self.vectors)
-        if not vecs:
+        d, masks = _bitmasks(self.__dict__.pop("vectors"))
+        if not masks:
             raise ValueError("explicit system must list at least one vector")
-        mask_set = frozenset(masks)
-        if len(mask_set) != len(masks):
+        index = dict(zip(masks, range(len(masks))))
+        if len(index) != len(masks):
             raise ValueError("explicit system vectors must be distinct")
-        closed = _closed(mask_set)
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "_masks", mask_set)
+        closed, schedule = _tree(index, d)
         object.__setattr__(self, "downward_closed", closed)
-        d = len(vecs[0])
-        if closed:
-            nodes = mask_set
-        else:
-            nodes = {0}
-            for m in masks:
-                while m not in nodes:
-                    nodes.add(m)
-                    m &= m - 1
-        order = sorted(nodes)
-        index = {m: k for k, m in enumerate(order)}
-        tree = tuple(
-            (index[m & (m - 1)], d - (m & -m).bit_length()) for m in order[1:]
-        )
-        object.__setattr__(self, "_tree", tree)
-        object.__setattr__(self, "_member_nodes", tuple(map(index.__getitem__, masks)))
+        object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_schedule", schedule)
 
     @classmethod
     def closed(cls, vectors: Iterable[Sequence[int]]) -> "ExplicitSystem":
@@ -226,19 +278,18 @@ class ExplicitSystem(IndependenceOracle):
         return cls(down_close(vectors))
 
     def ground_size(self) -> int:
-        return len(self.vectors[0])
+        return self._d
 
     def contains(self, v: Sequence[int]) -> bool:
-        return self._is_vector(v) and _mask(_bytes(v)) in self._masks
+        return self._is_vector(v) and _mask(_bytes(v)) in self._index
 
     def maximize(self, w: Sequence[int]) -> Vector:
         self._check_weights(w)
-        vals = [0]
-        push = vals.append
-        for parent, elem in self._tree:
-            push(vals[parent] + w[elem])
-        member_vals = list(map(vals.__getitem__, self._member_nodes))
-        return self.vectors[member_vals.index(max(member_vals))]
+        vals = [0] * (len(self._schedule) + 1)
+        for node, parent, elem in self._schedule:
+            vals[node] = vals[parent] + w[elem]
+        vals = vals[: len(self._masks)]  # the members'; prefix-only nodes come after
+        return _vector(self._masks[vals.index(max(vals))], self._d)
 
 
 @dataclass(frozen=True)

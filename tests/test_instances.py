@@ -233,8 +233,8 @@ def multiset_searches(draw):
     members = draw(explicit_lists() | st.just([]))
     d = len(members[0]) if members else draw(st.integers(0, 4))
     kind = draw(st.sampled_from(["arbitrary", "shifted", "dup", "congestion"]))
-    # Every caller passes n >= 1, or members of a system, which are never none.
-    n = draw(st.integers(1 if kind == "congestion" or not members else 0, 4))
+    # Congestion rows need n >= 1; any other search may take n = 0, members or none.
+    n = draw(st.integers(1 if kind == "congestion" else 0, 4))
     if kind == "dup":
         w = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
         penalty = (-2 * sum(map(abs, w)) - 1,) * (n - 1)
@@ -251,6 +251,7 @@ def multiset_searches(draw):
 @settings(max_examples=600, deadline=None)
 @given(multiset_searches(), st.sampled_from(["none", "optimum", "above"]))
 @example(([], ((1, 0),), 2), "none")
+@example(([], ((),), 0), "none")
 @example(([()], (), 3), "optimum")
 @example(([(0, 0), (1, 0), (0, 1), (1, 1)], ((2,), (-1,)), 1), "above")
 @example(([(1, 0), (0, 1), (1, 1)], ((1, 1), (1, 1)), 2), "none")

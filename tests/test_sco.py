@@ -388,8 +388,8 @@ def test_approximations_reject_lifts_of_non_closed_systems(solve):
 
 def test_closure_is_worked_out_once_per_explicit_system(monkeypatch):
     calls = []
-    real = oracles._closed
-    monkeypatch.setattr(oracles, "_closed", lambda masks: calls.append(masks) or real(masks))
+    real = oracles._tree
+    monkeypatch.setattr(oracles, "_tree", lambda *args: calls.append(args) or real(*args))
     sys_ = ExplicitSystem(((0, 0), (1, 0), (0, 1)))
     c = ((2, 1), (1, 0))
     for _ in range(3):
