@@ -49,7 +49,7 @@ from .instances import (
     serialize,
 )
 from .oracles import BipartiteMatchings, ExplicitSystem, UniformMatroid
-from .sco import APPROX_VARIANTS, NotDownwardClosedError, convex_identical
+from .sco import _SMALL_N_LEVELS, APPROX_VARIANTS, NotDownwardClosedError, convex_identical
 
 VARIANTS = (*APPROX_VARIANTS, "convex", "exact")
 
@@ -121,7 +121,7 @@ def _cmd_solve(args) -> int:
 def _bench_variants(n: int, shifted: bool) -> list[str]:
     variants = ["shifted"] if shifted else []
     variants.append("log")
-    if n in (2, 3, 4):
+    if n in _SMALL_N_LEVELS:
         variants.append("small-n")
     return variants
 

@@ -103,11 +103,6 @@ def shift(x: Matrix) -> Matrix:
     return tuple(tuple(sorted(row, reverse=True)) for row in x)
 
 
-def is_shifted(c: Matrix) -> bool:
-    """True if every row is nonincreasing left to right."""
-    return first_unshifted_row(c) is None
-
-
 def first_unshifted_row(c: Matrix) -> int | None:
     """0-based index of the first row that increases somewhere, else None."""
     for i, row in enumerate(c):

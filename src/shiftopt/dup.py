@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .core import Matrix, Vector
+from .core import Vector
 from .oracles import IndependenceOracle
 
 
@@ -23,26 +23,6 @@ class OrthogonalSelection:
 
     columns: tuple[Vector, ...]
     value: int
-
-
-def orthogonalize(x: Matrix) -> Matrix:
-    """Zero all but the leftmost 1 in every row.
-
-    The covered-element set is unchanged and, over a downward monotone
-    system, every column stays feasible.
-    """
-    out = []
-    for row in x:
-        seen = False
-        new = []
-        for v in row:
-            if v and not seen:
-                new.append(1)
-                seen = True
-            else:
-                new.append(0)
-        out.append(tuple(new))
-    return tuple(out)
 
 
 def greedy_ratio(k: int) -> Fraction:
@@ -91,12 +71,12 @@ def greedy_dup(oracle: IndependenceOracle, k: int, w: Sequence[int]) -> Orthogon
 
     The lift greedy with the single cell w[i] per element, so each round
     queries the oracle with covered elements weighed 0.  Output column r
-    holds the elements that round r covered first, which is the stack of
-    answers orthogonalized (leftmost 1 per row wins); the value is the
-    weight of all covered elements.  The value is at least greedy_ratio(k)
-    times the DUP optimum.  Matroid and matching oracles never select an
-    element with weight <= 0; an explicit system may, and such an element
-    is then covered and its weight counted.
+    holds the elements that round r covered first, so the columns have
+    pairwise disjoint supports; the value is the weight of all covered
+    elements.  The value is at least greedy_ratio(k) times the DUP optimum.
+    Matroid and matching oracles never select an element with weight <= 0;
+    an explicit system may, and such an element is then covered and its
+    weight counted.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

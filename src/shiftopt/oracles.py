@@ -274,8 +274,10 @@ class ExplicitSystem(IndependenceOracle):
 
     @classmethod
     def closed(cls, vectors: Iterable[Sequence[int]]) -> "ExplicitSystem":
-        """Build the downward closure of the given vectors."""
-        return cls(down_close(vectors))
+        """Build the downward closure of the given vectors, in the canonical
+        member order of down_close."""
+        d, masks = _bitmasks(vectors)
+        return cls(_strings(sorted(_closure(masks), key=_by_size), d))
 
     def ground_size(self) -> int:
         return self._d
@@ -577,42 +579,3 @@ def lift_maximize(oracle: IndependenceOracle, n: int, c: Matrix) -> Matrix:
     return tuple(
         tuple(bit if j == jbest else 0 for j in range(n)) for bit, jbest in zip(s, picks)
     )
-
-
-@dataclass(frozen=True)
-class LiftedOracle(IndependenceOracle):
-    """Oracle for the n-lift of a base system.
-
-    Ground set is [d] x [n] flattened row-major (element (i, j) at i*n + j);
-    members are the flattened d x n matrices whose column-sum vector lies in
-    the base system.
-    """
-
-    base: IndependenceOracle
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    @property
-    def downward_closed(self) -> bool:
-        # Removing a one lowers one entry of the column-sum vector, so the
-        # lift is closed exactly when its base is.
-        return self.base.downward_closed
-
-    def ground_size(self) -> int:
-        return self.base.ground_size() * self.n
-
-    def _unflatten(self, w: Sequence[int]) -> Matrix:
-        d = self.base.ground_size()
-        return tuple(tuple(w[i * self.n + j] for j in range(self.n)) for i in range(d))
-
-    def contains(self, v: Sequence[int]) -> bool:
-        # The base rejects a column sum with an entry above 1.
-        return self._is_vector(v) and self.base.contains(tuple(map(sum, self._unflatten(v))))
-
-    def maximize(self, w: Sequence[int]) -> Vector:
-        self._check_weights(w)
-        x = lift_maximize(self.base, self.n, self._unflatten(w))
-        return tuple(v for row in x for v in row)

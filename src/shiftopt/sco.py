@@ -20,7 +20,7 @@ Three algorithms are provided, all deterministic:
 
 All three need a downward-closed system and raise NotDownwardClosedError,
 before any oracle call, on a system whose downward_closed attribute is
-false (an explicit list that is not closed, or a lift of one).
+false (an explicit list that is not closed).
 
 convex_identical handles the separable-convex generalization, where one
 oracle call is exact because some optimal solution repeats a single column.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from importlib.util import find_spec
 from itertools import combinations_with_replacement, product
 
@@ -20,6 +21,7 @@ from shiftopt import (
     PartitionMatroid,
     UniformMatroid,
     down_close,
+    lift_maximize,
 )
 
 # Only the bipartite matching oracle imports numpy and scipy, on its first
@@ -441,11 +443,66 @@ def equivalents_of_power(system: ExplicitSystem, n: int) -> set:
     return out
 
 
+@dataclass(frozen=True)
+class LiftedOracle(IndependenceOracle):
+    """Reference oracle for the n-lift of a base system, built on
+    lift_maximize.
+
+    Ground set is [d] x [n] flattened row-major (element (i, j) at i*n + j);
+    members are the flattened d x n matrices whose column-sum vector lies in
+    the base system.
+    """
+
+    base: IndependenceOracle
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
+    @property
+    def downward_closed(self) -> bool:
+        # Removing a one lowers one entry of the column-sum vector, so the
+        # lift is closed exactly when its base is.
+        return self.base.downward_closed
+
+    def ground_size(self) -> int:
+        return self.base.ground_size() * self.n
+
+    def _unflatten(self, w):
+        d = self.base.ground_size()
+        return tuple(tuple(w[i * self.n + j] for j in range(self.n)) for i in range(d))
+
+    def contains(self, v) -> bool:
+        # The base rejects a column sum with an entry above 1.
+        return self._is_vector(v) and self.base.contains(tuple(map(sum, self._unflatten(v))))
+
+    def maximize(self, w):
+        self._check_weights(w)
+        x = lift_maximize(self.base, self.n, self._unflatten(w))
+        return tuple(v for row in x for v in row)
+
+
+def orthogonalize(x):
+    """Zero all but the leftmost 1 in every row: the stacked answers of the
+    greedy DUP, reduced to the round that covered each element first."""
+    out = []
+    for row in x:
+        seen = False
+        new = []
+        for v in row:
+            if v and not seen:
+                new.append(1)
+                seen = True
+            else:
+                new.append(0)
+        out.append(tuple(new))
+    return tuple(out)
+
+
 def disjoint_union_of_lift(system: ExplicitSystem, n: int) -> set:
     """All sums of n support-disjoint lift-feasible matrices, by full
     enumeration (use only for tiny d and n)."""
-    from shiftopt import LiftedOracle
-
     d = system.ground_size()
     lifted = LiftedOracle(system, n)
     members = [flat for flat in product((0, 1), repeat=d * n) if lifted.contains(flat)]
@@ -468,7 +525,7 @@ def disjoint_union_of_lift(system: ExplicitSystem, n: int) -> set:
 def greedy_dup_by_stacking(oracle, k: int, w):
     """Reference greedy DUP: stack the answers of each round as a matrix,
     orthogonalize it (leftmost 1 per row) and read the columns back."""
-    from shiftopt import OrthogonalSelection, columns, from_columns, orthogonalize
+    from shiftopt import OrthogonalSelection, columns, from_columns
 
     d = oracle.ground_size()
     remaining = list(w)
@@ -492,13 +549,7 @@ def constant_shifted_by_lift(oracle, c, n: int):
     """Reference constant-ratio algorithm: the greedy DUP over the flattened
     n-lift (LiftedOracle), each selected lift matrix collapsed into one
     output column by summing its columns.  Expects shifted costs."""
-    from shiftopt import (
-        ApproxResult,
-        LiftedOracle,
-        from_columns,
-        greedy_ratio,
-        shifted_value,
-    )
+    from shiftopt import ApproxResult, from_columns, greedy_ratio, shifted_value
 
     d = oracle.ground_size()
     flat = [c[i][j] for i in range(d) for j in range(n)]

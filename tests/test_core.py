@@ -1,9 +1,11 @@
 import random
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftopt
 from helpers import (
     first_unshifted_row_by_pairs,
     matrix_by_int_per_entry,
@@ -16,7 +18,6 @@ from shiftopt import (
     frobenius,
     from_columns,
     columns,
-    is_shifted,
     matrix,
     shift,
     shifted_value,
@@ -143,8 +144,8 @@ def test_empty_ground_set_evaluates_to_zero():
 
 
 def test_is_shifted():
-    assert is_shifted(matrix([[3, 1], [0, -2]]))
-    assert not is_shifted(matrix([[3, 1], [0, 2]]))
+    assert first_unshifted_row(matrix([[3, 1], [0, -2]])) is None
+    assert first_unshifted_row(matrix([[3, 1], [0, 2]])) == 1
 
 
 def test_columns_round_trip():
@@ -204,3 +205,19 @@ def test_matrix_equals_int_per_entry_reference(rows):
 )
 def test_first_unshifted_row_equals_pairwise_reference(c):
     assert first_unshifted_row(c) == first_unshifted_row_by_pairs(c)
+
+
+def test_public_names_are_the_ones_the_package_binds():
+    names = shiftopt.__all__
+    assert names == sorted(set(names))
+    for name in names:
+        getattr(shiftopt, name)
+    bound = {
+        name
+        for name, value in vars(shiftopt).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert set(names) == bound
+    # Only tests used these: two are references in tests/helpers.py, and
+    # first_unshifted_row(c) is None does the third's work.
+    assert not {"LiftedOracle", "orthogonalize", "is_shifted"} & set(names)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import greedy_dup_by_stacking, needs_scipy, rand_closed_system, systems
+from helpers import (
+    greedy_dup_by_stacking,
+    needs_scipy,
+    orthogonalize,
+    rand_closed_system,
+    systems,
+)
 from shiftopt import (
     ExplicitSystem,
     UniformMatroid,
@@ -13,7 +19,6 @@ from shiftopt import (
     greedy_dup,
     greedy_ratio,
     matrix,
-    orthogonalize,
 )
 from shiftopt.dup import GREEDY_DUP
 

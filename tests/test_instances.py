@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    LiftedOracle,
     best_multiset_by_recursion,
     congestion_feasible_by_tuples,
     costs,
@@ -36,7 +37,6 @@ from shiftopt import (
     GraphicMatroid,
     Instance,
     InstanceFormatError,
-    LiftedOracle,
     Meta,
     OrthogonalSelection,
     PartitionMatroid,
@@ -61,7 +61,6 @@ from shiftopt import (
     hexagon_gadget,
     independent_set_gadget,
     is_downward_closed,
-    is_shifted,
     level_candidate,
     matrix,
     parse,
@@ -71,6 +70,7 @@ from shiftopt import (
     shifted_value,
     social_cost,
 )
+from shiftopt.core import first_unshifted_row
 from shiftopt.instances import _best_multiset
 
 TRIANGLE = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -337,7 +337,7 @@ def test_congestion_reduction_end_to_end():
 def test_game_to_cost_convex_gives_shifted_rows():
     c = game_to_cost(((0, 1, 4),))
     assert c == ((-1, -3),)
-    assert is_shifted(c)
+    assert first_unshifted_row(c) is None
     assert game_to_cost(((5, 5, 5),)) == ((0, 0),)
     assert game_to_cost(()) == ()
 
@@ -602,7 +602,7 @@ def test_random_instance_deterministic():
 
 def test_random_instance_shifted_rows():
     inst = random_instance(7, d=6, n=4, set_size=10, cost_range=9, shifted=True)
-    assert is_shifted(inst.c)
+    assert first_unshifted_row(inst.c) is None
     assert inst.system.downward_closed
     assert len(inst.system.vectors) <= 10
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    LiftedOracle,
     down_close_by_tuples,
     explicit_constructor_error,
     explicit_lists,
@@ -29,7 +30,6 @@ from shiftopt import (
     ExplicitSystem,
     GraphicMatroid,
     Instance,
-    LiftedOracle,
     PartitionMatroid,
     UniformMatroid,
     down_close,
@@ -306,9 +306,11 @@ def test_explicit_closure_is_worked_out_from_the_members(vectors):
     assert closed == is_downward_closed_by_tuples(vectors)
     sys_ = ExplicitSystem(tuple(vectors))
     assert sys_.downward_closed == closed
-    # A lift is closed exactly when its base is.
-    assert LiftedOracle(sys_, 2).downward_closed == closed
-    assert LiftedOracle(LiftedOracle(sys_, 3), 2).downward_closed == closed
+    # closed() hands the constructor strings; down_close hands it int tuples.
+    by_strings, by_tuples = ExplicitSystem.closed(vectors), ExplicitSystem(down_close(vectors))
+    assert by_strings == by_tuples
+    assert repr(by_strings) == repr(by_tuples)
+    assert hash(by_strings) == hash(by_tuples)
 
 
 def test_matroids_and_matchings_are_downward_closed():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     CountingOracle,
+    LiftedOracle,
     constant_shifted_by_lift,
     constant_shifted_by_round_rebuild,
     costs,
@@ -26,7 +27,6 @@ from shiftopt import (
     ApproxResult,
     ExplicitSystem,
     NotDownwardClosedError,
-    LiftedOracle,
     NotShiftedError,
     OrthogonalSelection,
     UniformMatroid,
