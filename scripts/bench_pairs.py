@@ -20,12 +20,13 @@ relative worsening against the metric's bound from BENCHMARK.json, and
 whether the comparison is unresolved: a side's interquartile range over
 its median exceeds the bound and not every change run reads better than
 every parent run.
-Digests are compared per seed.  After a workload's pairs, one traced run
-(`--trace 1`) per side on the first seed records each per-layer metric of
-BENCHMARK.json side by side under `layers`, to show in which layers a
-change of the end-to-end metrics arises.  The file is rewritten after
-every pair and after each workload's traced runs, so an interrupted
-series keeps what it finished.
+Digests are compared per seed, and each side's median count of attempted
+ops is kept per workload, because `peak_rss_mb` grows with it.  After a
+workload's pairs, one traced run (`--trace 1`) per side on the first seed
+records each per-layer metric of BENCHMARK.json side by side under
+`layers`, to show in which layers a change of the end-to-end metrics
+arises.  The file is rewritten after every pair and after each workload's
+traced runs, so an interrupted series keeps what it finished.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             ),
             "failed_parent": sum(p["parent"]["failed"] for p in pairs),
             "failed_change": sum(p["change"]["failed"] for p in pairs),
+            "attempted_median": {
+                side: statistics.median(p[side]["attempted"] for p in pairs)
+                for side in ("parent", "change")
+            },
         }
         for metric in spec["end_to_end"]:
             name, higher = metric["name"], metric["better"] == "higher"

@@ -141,6 +141,14 @@ def _best_multiset(
     a strictly better value replaces the incumbent, so the first maximizer
     wins.  The search stops at the first value equal to `ceiling`, which the
     caller guarantees no multiset exceeds.
+
+    A prefix skips its scan of two or more last picks when its value plus
+    the positive next gains of the elements of members from its last index
+    on is at most the incumbent: every last pick it would score uses only
+    those elements, so none of its totals is strictly better, and the
+    multisets it skips could not have replaced the incumbent or reached
+    `ceiling`, which no value exceeds.  Values, witnesses and ceiling stops
+    are those of the full enumeration.
     """
     # comb(-1, 0) would raise; no members have one 0-multiset and no other.
     _check_budget(comb(max(len(members) + n - 1, 0), n), budget, what)
@@ -149,6 +157,13 @@ def _best_multiset(
     supports = [tuple(i for i, b in enumerate(v) if b) for v in members]
     count = len(members)
     first = [row[0] for row in rows]
+    # The first reach[start] keys of `held` are the elements of members
+    # start.., each added at its last holder as the members are read backwards.
+    held: dict[int, None] = {}
+    reach = [0] * count
+    for idx in reversed(range(count)):
+        held |= dict.fromkeys(supports[idx])
+        reach[idx] = len(held)
     best_val: int | None = None
     best_pick: tuple[int, ...] = ()
     # The (n - 1)-prefixes come in lexicographic order and each one's last
@@ -162,7 +177,14 @@ def _best_multiset(
                 value += gain[i]
                 uses[i] += 1
                 gain[i] = rows[i][uses[i]]
-        for idx in range(prefix[-1] if prefix else 0, count):
+        start = prefix[-1] if prefix else 0
+        # The bound costs about as much as scoring one member, so a scan of
+        # the last member alone always runs.
+        if start < count - 1 and best_val is not None:
+            tail = map(gain.__getitem__, islice(held, reach[start]))
+            if value + sum(filter((0).__lt__, tail)) <= best_val:
+                continue
+        for idx in range(start, count):
             total = value + sum(map(gain.__getitem__, supports[idx]))
             if best_val is None or total > best_val:
                 best_val, best_pick = total, (*prefix, idx)

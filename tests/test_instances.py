@@ -2,7 +2,7 @@ import json
 import random
 import re
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -263,6 +263,70 @@ def test_best_multiset_returns_the_recursions_first_optimum(search, ceiling):
     assert _best_multiset(members, rows, n, DEFAULT_BUDGET, "search", ceiling) == (
         best_multiset_by_recursion(members, rows, n, ceiling)
     )
+
+
+@pytest.mark.parametrize(
+    "d, n, set_size, shifted, instances",
+    [
+        # perfbench's ratio-sweep configurations, then a wider closed list,
+        # where most prefixes skip their last-pick scan
+        (5, 3, 10, True, 25),
+        (8, 3, 16, False, 25),
+        (6, 4, 12, True, 25),
+        (8, 4, 16, False, 25),
+        (7, 5, 16, True, 10),
+        (10, 3, 40, False, 5),
+    ],
+)
+def test_best_multiset_matches_the_recursion_at_ratio_sweep_sizes(
+    d, n, set_size, shifted, instances
+):
+    # Seeded rather than drawn: the hypothesis test above keeps d <= 4, where
+    # the last-pick bound seldom skips a prefix.  Only instances of exactly
+    # set_size members count, as in ratio-sweep.
+    rng = random.Random(d * 10 + n)
+    seeds = (
+        seed
+        for seed in count()
+        if len(random_instance(seed, d=d, n=n, set_size=set_size, cost_range=7,
+                               shifted=shifted).system.vectors) == set_size
+    )
+    for seed in islice(seeds, instances):
+        inst = random_instance(seed, d=d, n=n, set_size=set_size, cost_range=7, shifted=shifted)
+        members = inst.system.vectors
+        w = [rng.randint(-7, 7) for _ in range(d)]
+        penalty = (-2 * sum(map(abs, w)) - 1,) * (n - 1)
+        tables = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(d)]
+        for rows in (
+            inst.c,
+            [(wi, *penalty) for wi in w],
+            [tuple(b - a for a, b in zip(t, t[1:])) for t in tables],
+        ):
+            best = best_multiset_by_recursion(members, rows, n)
+            assert _best_multiset(members, rows, n, DEFAULT_BUDGET, "search") == best
+            assert _best_multiset(
+                members, rows, n, DEFAULT_BUDGET, "search", best[0]
+            ) == best_multiset_by_recursion(members, rows, n, best[0])
+
+
+def test_best_multiset_on_unit_vectors_keeps_its_memory_in_d_plus_members():
+    # The elements the last-pick bound sums over are kept once, with one end
+    # per member; a tuple of them per member would take O(members * d).  On
+    # these 1001 unit vectors at n = 2 the search peaked at 0.14 MB before it
+    # had the bound, and at 4.3 MB with a tuple per member.  Costs <= 0 let
+    # the bound skip most scans, which keeps the traced run short.
+    d = 1001
+    members = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    rng = random.Random(0)
+    rows = [(rng.randint(-9, 0), rng.randint(-9, 0)) for _ in range(d)]
+    tracemalloc.start()
+    try:
+        got = _best_multiset(members, rows, 2, DEFAULT_BUDGET, "search")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == best_multiset_by_recursion(members, rows, 2)
+    assert peak < 500_000
 
 
 def test_brute_force_sco_takes_more_columns_than_the_recursion_limit():
